@@ -87,8 +87,6 @@ class AuthorityState:
         self.sessions: dict[bytes, tuple[int, bytes]] = {}
         self.crl: list[CrlEntry] = []
         self.ever_registered: set[bytes] = set()
-        # counters for workload reporting
-        self.tasks_handled = 0
 
     # ---- announcement -----------------------------------------------------
 
@@ -134,7 +132,6 @@ class AuthorityState:
         issue the authentication key sealed under the pre-shared
         registration channel key."""
         now = self.clock.now()
-        self.tasks_handled += 1
         record = self.affinity.get(req.child_id)  # UnknownDevice if absent
         if record.trust in (TrustState.QUARANTINED, TrustState.BLACKLISTED):
             raise DeviceUntrusted(f"{req.child_id!r} is {record.trust.value}")
@@ -162,20 +159,18 @@ class AuthorityState:
         """Verify the client's proof and answer with the masked server
         point plus the key-confirmation point.
 
-        The (identity, timestamp) pair is cached before the proof is
-        checked, so an identical request inside the freshness window is
-        refused as a replay even though its timestamp is still fresh.
+        The (identity, timestamp) pair is cached only once the proof
+        verifies, so an identical request inside the freshness window is
+        refused as a replay, while a forged request at a victim's
+        timestamp cannot pre-empt the victim's own request.
         """
         now = self.clock.now()
-        self.tasks_handled += 1
         record = self._refuse_if_unusable(req.child_id, now)
         if not check_freshness(req.sent_at, now, self.freshness_window_ms):
             raise StaleTimestamp(f"T1={req.sent_at} vs now={now}")
         cache_key = (req.child_id, req.sent_at)
         if cache_key in self.replay_cache:
             raise ReplayDetected(f"duplicate (id, T1) {cache_key!r}")
-        self._purge_replay_cache(now)
-        self.replay_cache.add(cache_key)
 
         params = self.params
         ident_point = curve.hash_to_point(params, req.child_id)
@@ -189,6 +184,8 @@ class AuthorityState:
         x_c = recovered.x
         if req.x_proof != curve.scalar_mul(params, x_c, params.base_point):
             raise BadProof("x-coordinate proof failed")
+        self._purge_replay_cache(now)
+        self.replay_cache.add(cache_key)
 
         t2_ms = now
         server_scalar = curve.random_scalar(params, self.rng)
@@ -221,29 +218,24 @@ class AuthorityState:
                            msg: PeerInit) -> tuple[bytes, PeerRelay]:
         """Open the initiator's proposal, re-seal it for the target, and
         return (target_id, relay).  No copy of the proposed key is kept."""
-        self.tasks_handled += 1
         sender = self.sessions.get(from_id)
         if sender is None:
             raise NoSession(f"no session with {from_id!r}")
         target = open_box(sender[1], msg.peer_box)
-        proposed = bytearray(open_box(sender[1], msg.key_box))
-        try:
-            if not 1 <= len(target) <= 64:
-                raise AuthFailure("bad target identity length")
-            if len(proposed) != 32:
-                raise AuthFailure("bad proposed key length")
-            if self.is_revoked(target):
-                raise TargetRevoked(f"{target!r} is revoked")
-            receiver = self.sessions.get(target)
-            if receiver is None:
-                raise NoSession(f"no session with {target!r}")
-            relay = PeerRelay(
-                initiator_box=seal(receiver[1], from_id, self.rng),
-                key_box=seal(receiver[1], bytes(proposed), self.rng))
-            return target, relay
-        finally:
-            for i in range(len(proposed)):  # drop our copy of the key
-                proposed[i] = 0
+        proposed = open_box(sender[1], msg.key_box)
+        if not 1 <= len(target) <= 64:
+            raise AuthFailure("bad target identity length")
+        if len(proposed) != 32:
+            raise AuthFailure("bad proposed key length")
+        if self.is_revoked(target):
+            raise TargetRevoked(f"{target!r} is revoked")
+        receiver = self.sessions.get(target)
+        if receiver is None:
+            raise NoSession(f"no session with {target!r}")
+        relay = PeerRelay(
+            initiator_box=seal(receiver[1], from_id, self.rng),
+            key_box=seal(receiver[1], proposed, self.rng))
+        return target, relay
 
     # ---- revocation and short-lived keys -----------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import wire
@@ -42,7 +43,6 @@ class SimNode:
     node_id: str
     tier: str = "thing"
     role: str = "child"
-    inbox: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.tier not in TIERS:
@@ -183,7 +183,8 @@ class Network:
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
         self.nodes: dict[str, SimNode] = {}
-        self.links: dict[tuple[str, str], LinkSpec] = {}
+        self._adjacent: dict[str, dict[str, LinkSpec]] = {}  # src -> dst -> link
+        self._routes: dict[tuple[str, str], tuple[LinkSpec, ...]] = {}
         self.adversaries: dict[tuple[str, str], _Adversary] = {}
         self.handlers: dict[str, object] = {}
         self.now = 0
@@ -200,6 +201,7 @@ class Network:
                  role: str = "child") -> SimNode:
         node = SimNode(node_id, tier, role)
         self.nodes[node_id] = node
+        self._routes.clear()  # a re-added id may gain or lose the proxy role
         return node
 
     def connect(self, link: LinkSpec) -> None:
@@ -208,32 +210,41 @@ class Network:
         for end in (link.src, link.dst):
             if end not in self.nodes:
                 raise UnknownNode(end)
-        self.links[(link.src, link.dst)] = link
+        self._adjacent.setdefault(link.src, {})[link.dst] = link
+        self._routes.clear()
 
     def connect_duplex(self, a: str, b: str, base_latency_ms: int = 0,
                        jitter_ms: int = 0, drop_probability: float = 0.0) -> None:
         self.connect(LinkSpec(a, b, base_latency_ms, jitter_ms, drop_probability))
         self.connect(LinkSpec(b, a, base_latency_ms, jitter_ms, drop_probability))
 
-    def route(self, src: str, dst: str) -> list[LinkSpec]:
+    def route(self, src: str, dst: str) -> tuple[LinkSpec, ...]:
         """Direct link, or a breadth-first path whose intermediate hops
-        are proxy nodes."""
+        are proxy nodes; neighbours are tried in ascending id order.
+        Paths are memoized until the topology next changes."""
+        path = self._routes.get((src, dst))
+        if path is None:
+            path = self._routes[(src, dst)] = self._search(src, dst)
+        return path
+
+    def _search(self, src: str, dst: str) -> tuple[LinkSpec, ...]:
         if src not in self.nodes or dst not in self.nodes:
             raise UnknownNode(f"{src!r} or {dst!r}")
-        if (src, dst) in self.links:
-            return [self.links[(src, dst)]]
-        frontier = [(src, [])]
+        if dst in self._adjacent.get(src, {}):
+            return (self._adjacent[src][dst],)
+        frontier = deque([(src, ())])
         seen = {src}
         while frontier:
-            here, path = frontier.pop(0)
-            for (u, v), link in sorted(self.links.items()):
-                if u != here or v in seen:
+            here, path = frontier.popleft()
+            out = self._adjacent.get(here, {})
+            for v in sorted(out):
+                if v in seen:
                     continue
                 if v == dst:
-                    return path + [link]
+                    return path + (out[v],)
                 if self.nodes[v].role == "proxy":
                     seen.add(v)
-                    frontier.append((v, path + [link]))
+                    frontier.append((v, path + (out[v],)))
         raise NoRoute(f"no path from {src!r} to {dst!r}")
 
     def set_handler(self, node_id: str, handler) -> None:
@@ -246,7 +257,7 @@ class Network:
 
     def attach_adversary(self, link: tuple[str, str], policy: AdversaryPolicy,
                          params=None) -> None:
-        if link not in self.links:
+        if link[1] not in self._adjacent.get(link[0], {}):
             raise UnknownLink(f"{link!r}")
         self.adversaries[link] = _Adversary(policy, params)
 
@@ -293,21 +304,15 @@ class Network:
             if kind == "timer":
                 data(self)
                 continue
-            event, path, idx = data
+            event, path, idx = data  # every hop is queued at its event.at
             if idx >= len(path):
-                node = self.nodes[event.dst]
-                final = SimEvent(at, event.src, event.dst, event.payload,
-                                 event.uid)
-                node.inbox.append(final)
-                delivered.append(final)
+                delivered.append(event)
                 self.accounting["delivered"] += 1
                 handler = self.handlers.get(event.dst)
                 if handler is not None:
-                    handler(self, final)
+                    handler(self, event)
                 continue
-            link = path[idx]
-            self._traverse(SimEvent(at, event.src, event.dst, event.payload,
-                                    event.uid), link, path, idx)
+            self._traverse(event, path[idx], path, idx)
         if t is not None and t > self.now:
             self.now = t
         return delivered

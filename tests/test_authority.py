@@ -133,6 +133,25 @@ class TestAuthRequest:
         with pytest.raises(BadProof):
             prod_rig.authority.handle_auth_request(forged.auth_init())
 
+    def test_forged_request_cannot_preempt_honest_one(self, prod_rig):
+        # a forgery at the victim's predictable T1 is refused without
+        # claiming that (identity, T1) slot in the replay cache
+        child = prod_rig.register(b"cam-01")
+        params = prod_rig.params
+        prod_rig.clock.advance(10)
+        rng = random.Random(99)
+        blinded, x_proof = (
+            curve.scalar_mul(params, curve.random_scalar(params, rng),
+                             params.base_point) for _ in range(2))
+        forged = wire.AuthRequest(b"cam-01", blinded, x_proof,
+                                  prod_rig.clock.now())
+        with pytest.raises(BadProof):
+            prod_rig.authority.handle_auth_request(forged)
+        req = child.auth_init()
+        assert req.sent_at == forged.sent_at
+        key = child.auth_finish(prod_rig.authority.handle_auth_request(req))
+        assert prod_rig.authority.sessions[b"cam-01"][1] == key
+
     def test_unregistered_device(self, toy_rig):
         with pytest.raises(UnknownDevice):
             toy_rig.authority.handle_auth_request(

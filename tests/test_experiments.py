@@ -69,6 +69,22 @@ class TestRunExperiment:
         b = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=9)
         assert a == b
 
+    def test_saturated_cloud_run_pinned(self):
+        # recorded from the simulator before routes were memoized; any
+        # change to event order, routing or randomness moves these
+        stats = ex.run_experiment(ex.placement("CloudOnly"),
+                                  ex.DEFAULT_WORKLOAD, seed=1)
+        assert stats == ex.DelayStats(
+            registration=ex.TxnStats(count=40, mean_ms=19903.4, p50_ms=345.5,
+                                     p95_ms=108764.49999999996,
+                                     max_ms=134874.0),
+            auth=ex.TxnStats(count=617, mean_ms=42526.267423014586,
+                             p50_ms=8707.0, p95_ms=147645.79999999996,
+                             max_ms=177898.0),
+            retransmission_count=2133, cloud_tasks=2790, fog_tasks=0,
+            cloud_utilization_pct=422.72727272727275, fog_utilization_pct=0.0,
+            incomplete=0)
+
     def test_seed_changes_routing(self):
         a = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=1)
         b = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=2)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogca import simnet
 from fogca.errors import NoRoute, UnknownLink, UnknownNode
@@ -108,6 +110,107 @@ class TestTopology:
         clock = SimClock(net, skew_ms=7)
         net.run_until(100)
         assert clock.now() == 107
+
+
+def reference_route(nodes, links, src, dst):
+    """The search `Network.route` ran before routes were memoized: every
+    BFS step scans all links in sorted order.  `nodes` maps id -> role,
+    `links` maps (src, dst) -> LinkSpec."""
+    if src not in nodes or dst not in nodes:
+        raise UnknownNode(f"{src!r} or {dst!r}")
+    if (src, dst) in links:
+        return [links[(src, dst)]]
+    frontier = [(src, [])]
+    seen = {src}
+    while frontier:
+        here, path = frontier.pop(0)
+        for (u, v), link in sorted(links.items()):
+            if u != here or v in seen:
+                continue
+            if v == dst:
+                return path + [link]
+            if nodes[v] == "proxy":
+                seen.add(v)
+                frontier.append((v, path + [link]))
+    raise NoRoute(f"no path from {src!r} to {dst!r}")
+
+
+def outcome(search, *args):
+    try:
+        return tuple(search(*args))
+    except (NoRoute, UnknownNode) as exc:
+        return type(exc)
+
+
+@st.composite
+def topologies(draw):
+    """Roles by node id, then links in random connect order; re-used
+    pairs get their spec replaced."""
+    names = [f"n{i}" for i in range(draw(st.integers(2, 7)))]
+    roles = st.sampled_from(("proxy", "proxy", "child", "authority"))
+    nodes = {name: draw(roles) for name in names}
+    ends = st.sampled_from(names)
+    links = draw(st.lists(st.builds(LinkSpec, ends, ends, st.integers(0, 3)),
+                          min_size=len(names), max_size=4 * len(names)))
+    return nodes, links
+
+
+class TestRouteMemo:
+    def test_reconnect_replaces_cached_route(self):
+        net = triangle()
+        assert net.route("a", "b") == (LinkSpec("a", "p", 5),
+                                       LinkSpec("p", "b", 80))
+        net.connect(LinkSpec("a", "p", 50))
+        assert net.route("a", "b") == (LinkSpec("a", "p", 50),
+                                       LinkSpec("p", "b", 80))
+
+    def test_readding_relay_changes_its_transit(self):
+        net = Network(0)
+        net.add_node("a")
+        net.add_node("b")
+        net.add_node("relay", role="child")
+        net.connect_duplex("a", "relay", 1)
+        net.connect_duplex("relay", "b", 1)
+        with pytest.raises(NoRoute):
+            net.route("a", "b")
+        net.add_node("relay", tier="street", role="proxy")
+        assert [(link.src, link.dst) for link in net.route("a", "b")] == [
+            ("a", "relay"), ("relay", "b")]
+        net.add_node("relay", role="child")
+        with pytest.raises(NoRoute):
+            net.route("a", "b")
+
+    @given(topologies(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_search(self, topology, data):
+        nodes, specs = topology
+        net, links = Network(0), {}
+        for name, role in nodes.items():
+            net.add_node(name, role=role)
+        for link in specs:
+            net.connect(link)
+            links[(link.src, link.dst)] = link
+        names = sorted(nodes) + ["ghost"]
+
+        def check_every_pair():
+            for src in names:
+                for dst in names:
+                    assert outcome(net.route, src, dst) == outcome(
+                        reference_route, nodes, links, src, dst)
+
+        check_every_pair()
+        for _ in range(3):
+            # change the topology under the filled memo, then compare again
+            name = data.draw(st.sampled_from(sorted(nodes)))
+            if data.draw(st.booleans()):
+                nodes[name] = data.draw(st.sampled_from(simnet.ROLES))
+                net.add_node(name, role=nodes[name])
+            else:
+                link = LinkSpec(name, data.draw(st.sampled_from(sorted(nodes))),
+                                data.draw(st.integers(0, 3)))
+                net.connect(link)
+                links[(link.src, link.dst)] = link
+            check_every_pair()
 
 
 class TestDeterminism:
