@@ -9,6 +9,7 @@ with, and maintains the revocation list and short-lived registrations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import curve
@@ -84,6 +85,7 @@ class AuthorityState:
         self.freshness_window_ms = freshness_window_ms
         self.registry: dict[bytes, RegistrationRecord] = {}
         self.replay_cache: set[tuple[bytes, int]] = set()
+        self._replay_order: deque[tuple[bytes, int]] = deque()
         self.sessions: dict[bytes, tuple[int, bytes]] = {}
         self.crl: list[CrlEntry] = []
         self.ever_registered: set[bytes] = set()
@@ -184,8 +186,7 @@ class AuthorityState:
         x_c = recovered.x
         if req.x_proof != curve.scalar_mul(params, x_c, params.base_point):
             raise BadProof("x-coordinate proof failed")
-        self._purge_replay_cache(now)
-        self.replay_cache.add(cache_key)
+        self._remember_request(cache_key, now)
 
         t2_ms = now
         server_scalar = curve.random_scalar(params, self.rng)
@@ -206,11 +207,19 @@ class AuthorityState:
         self.sessions[req.child_id] = (k_scalar, key)
         return AuthResponse(blinded, key_check, t2_ms)
 
-    def _purge_replay_cache(self, now_ms: int) -> None:
-        if len(self.replay_cache) > 4096:
-            horizon = now_ms - self.freshness_window_ms
-            self.replay_cache = {
-                (cid, t1) for cid, t1 in self.replay_cache if t1 >= horizon}
+    def _remember_request(self, cache_key: tuple[bytes, int],
+                          now_ms: int) -> None:
+        """Cache a verified (identity, T1) pair after expiring, from the
+        front of the insertion-ordered queue, every entry whose T1 has
+        left the freshness window.  The freshness check refuses such a
+        T1 before the cache is consulted, so expiry never changes a
+        verdict."""
+        horizon = now_ms - self.freshness_window_ms
+        order = self._replay_order
+        while order and order[0][1] < horizon:
+            self.replay_cache.discard(order.popleft())
+        self.replay_cache.add(cache_key)
+        order.append(cache_key)
 
     # ---- peer key relay ----------------------------------------------------
 

@@ -3,7 +3,9 @@
 The group law is implemented twice: a readable affine chord-tangent form
 (`point_add`) that tests exercise directly, and an internal Jacobian
 double-and-add used by `scalar_mul` for speed.  The two are proven
-equivalent exhaustively on the toy curve.
+equivalent exhaustively on the toy curve.  On a curve whose domain is
+exactly NIST P-256, multiples of the base point come from OpenSSL
+instead; tests check that path against the Jacobian code.
 
 Scalars are plain ints reduced modulo the subgroup order.  Points are
 immutable; the point at infinity is the module constant INFINITY.
@@ -22,6 +24,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from .errors import (
     DecodeError,
@@ -291,9 +295,43 @@ def _window_table(params: CurveParams, pt: CurvePoint):
     return table
 
 
+# SEC 2 secp256r1 (NIST P-256): p, a, b, Gx, Gy, n, cofactor
+_P256_DOMAIN = (
+    0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff,
+    0xffffffff00000001000000000000000000000000fffffffffffffffffffffffc,
+    0x5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b,
+    0x6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296,
+    0x4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5,
+    0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551,
+    1,
+)
+_P256_CURVE = ec.SECP256R1()
+# cached in place of a base-point window table: OpenSSL computes the
+# multiples of this domain's base point
+_OPENSSL_P256 = object()
+
+
+def _p256_base_mul(s: int) -> CurvePoint:
+    """s * G on P-256 through OpenSSL, for 1 <= s < n."""
+    pub = ec.derive_private_key(s, _P256_CURVE).public_key().public_numbers()
+    return CurvePoint(pub.x, pub.y)
+
+
+def _base_table(params: CurveParams):
+    """_OPENSSL_P256 when the whole domain is P-256, else the window
+    table of the base point."""
+    G = params.base_point
+    if (params.p, params.a, params.b, G.x, G.y, params.order_n,
+            params.cofactor) == _P256_DOMAIN:
+        return _OPENSSL_P256
+    return _window_table(params, G)
+
+
 def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
     """s * pt by windowed double-and-add; s is reduced mod the subgroup
-    order, so (s mod n) * P == s * P.  Not constant-time."""
+    order, so (s mod n) * P == s * P.  Multiples of the base point of a
+    P-256 domain come from OpenSSL; all other work is pure Python and
+    not constant-time."""
     _require_on_curve(params, pt)
     for counter in _mult_watchers:
         counter["scalar_mul"] += 1
@@ -304,8 +342,10 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
     if pt == params.base_point:
         table = getattr(params, "_base_table", None)
         if table is None:
-            table = _window_table(params, pt)
+            table = _base_table(params)
             object.__setattr__(params, "_base_table", table)
+        if table is _OPENSSL_P256:
+            return _p256_base_mul(s)
     else:
         table = _window_table(params, pt)
     R = (0, 0, 0)

@@ -89,6 +89,51 @@ class TestRegistration:
         assert not toy_rig.authority.is_revoked(b"cam-01")
 
 
+# wire bytes and session keys of a seeded prod256 register + confirm +
+# handshake (Rig seed 2011, identity cam-9), frozen from the pure-Python
+# curve code, so every scalar_mul backend must reproduce them exactly
+PROD_REGISTRATION_RESPONSE = (
+    "034a4ee55f113edd96c888891600000041efe0f27cd7217be6c661cf6ee6d9eaacbc"
+    "c45993ee3d4274aa84955f7962aa7a4f628a6c058e5767a3fcfa37e8fc8834a2bfc1"
+    "736873e9d4310b6052b76128a38789caaeedbb15dfb32a005dd5d85d7262")
+PROD_AUTH_REQUEST = (
+    "040563616d2d3941046870a254e65f56df67176134cc858f21f43d0f1acf88cab971"
+    "9359cf0367a0780606223b24942d7bd99c41aa4adb0522c89d015f1e8be6d6c9a023"
+    "078cd92b4b4104c8aa84c1b4b3086b0f437709397f055b736a52910a18668e780faf"
+    "3069a6e9b6e1feba5640de58b931834efcf9ea8cf71accc381c087d75099dffdf089"
+    "ffca43000000000000000f")
+PROD_AUTH_RESPONSE = (
+    "054104bf30ba9dee35830aedfda4de576b7163717414a7fa4560d4f6691dc28fb96c"
+    "62f0ac7110b58f5e9213e23952ecc2107f98e94fa96a8bc764a2af5a81f673a5c741"
+    "0436235735b875c4741a2e63949aeea6bdacd591ba853bf24cc9fb03208912d48768"
+    "acb5177954e01c6c47e5c43e873d7060c7a24b6a84c5d92aea97f1c37e7a48000000"
+    "000000000f")
+PROD_CONFIRM_KEY = "3f8697646acaf101e59eac7c55260eaa25983625aca5d6d0e6e663a7579b1213"
+PROD_SESSION_KEY = "175c800cdd41fb902da7212f8fff324da0421e2eaac76e0ee02046f2cb326b02"
+
+
+class TestGoldenProd256:
+    def test_seeded_transcript_is_pinned(self, prod):
+        rig = Rig(prod, seed=2011)
+        child, profile = rig.provision(b"cam-9")
+        rig.clock.advance(5)
+        reg = rig.authority.register_child(child.request_registration(),
+                                           profile)
+        confirm_key = child.confirm_auth_key(
+            reg, rig.authority.handle_auth_request)
+        assert rig.authority.sessions[b"cam-9"][1] == confirm_key
+        rig.clock.advance(10)
+        req = child.auth_init()
+        resp = rig.authority.handle_auth_request(req)
+        session_key = child.auth_finish(resp)
+        assert rig.authority.sessions[b"cam-9"][1] == session_key
+        assert wire.encode(reg).hex() == PROD_REGISTRATION_RESPONSE
+        assert wire.encode(req, prod).hex() == PROD_AUTH_REQUEST
+        assert wire.encode(resp, prod).hex() == PROD_AUTH_RESPONSE
+        assert confirm_key.hex() == PROD_CONFIRM_KEY
+        assert session_key.hex() == PROD_SESSION_KEY
+
+
 class TestAuthRequest:
     def test_honest_handshake_shares_key(self, toy_rig):
         child = toy_rig.register(b"cam-01")
@@ -328,3 +373,36 @@ class TestStateHygiene:
             rig.authority.handle_auth_request(child.auth_init())
             child._pending_auth = None
         assert len(rig.authority.replay_cache) <= 4096 + 1
+
+    def test_replay_cache_expires_with_the_window(self, toy):
+        # more than 4,096 verified (identity, T1) pairs inside one window
+        # stay cached; each later verified request drops every pair whose
+        # T1 has left the window, and only those, however few remain
+        rig = Rig(toy, seed=78)
+        children = [rig.register(f"cam-{i}".encode()) for i in range(3)]
+        rig.clock.advance(10)
+        start = rig.clock.now()
+        accepted = []
+        for _ in range(1400):
+            rig.clock.advance(1)
+            for child in children:
+                req = child.auth_init()
+                rig.authority.handle_auth_request(req)
+                accepted.append(req)
+        state = rig.authority
+        assert len(state.replay_cache) > 4096
+        for req in accepted:
+            with pytest.raises(ReplayDetected):
+                state.handle_auth_request(req)
+        rig.clock.advance(1000)
+        horizon = rig.clock.now() - state.freshness_window_ms
+        assert start < horizon < accepted[-1].sent_at
+        last = children[0].auth_init()
+        state.handle_auth_request(last)
+        kept = {(r.child_id, r.sent_at) for r in accepted
+                if r.sent_at >= horizon}
+        assert state.replay_cache == kept | {(last.child_id, last.sent_at)}
+        rig.clock.advance(state.freshness_window_ms + 1)
+        alone = children[1].auth_init()
+        state.handle_auth_request(alone)
+        assert state.replay_cache == {(alone.child_id, alone.sent_at)}

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogca import curve
@@ -124,11 +124,88 @@ class TestScalarMul:
                 assert curve.scalar_mul(toy, s, pt) == acc
                 acc = curve.point_add(toy, acc, pt)
 
-    def test_op_counter(self, toy):
+    def test_op_counter(self, toy, prod):
         with curve.count_ops() as ops:
             curve.scalar_mul(toy, 5, toy.base_point)
             curve.scalar_mul(toy, 6, toy.base_point)
-        assert ops == {"scalar_mul": 2, "pairing": 0}
+            # prod256 fixed-base calls run in OpenSSL and still count
+            for s in (5, 0, prod.order_n):
+                curve.scalar_mul(prod, s, prod.base_point)
+        assert ops == {"scalar_mul": 5, "pairing": 0}
+
+
+# NIST P-256 domain for make_params, which reduces a = -3 mod p
+P256_N = 0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551
+P256_DOMAIN = dict(
+    p=0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff,
+    a=-3,
+    b=0x5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b,
+    n=P256_N)
+
+
+class TestP256FixedBase:
+    """Multiples of the P-256 base point come from OpenSSL; the Jacobian
+    window code stays the oracle, reached through 2G, which is not the
+    base point: s * G == (s / 2 mod n) * 2G."""
+
+    @given(st.one_of(
+        st.integers(min_value=0, max_value=2 * P256_N),
+        # t1 * private_key: a product of two scalars
+        st.tuples(st.integers(1, P256_N - 1), st.integers(1, P256_N - 1))
+        .map(lambda ab: ab[0] * ab[1]),
+        # k_scalar + x: a scalar plus a field element
+        st.tuples(st.integers(1, P256_N - 1), st.integers(0, 2 ** 256 - 1))
+        .map(sum)))
+    @example(0)
+    @example(1)
+    @example(P256_N - 1)
+    @example(P256_N)
+    @example(P256_N + 1)
+    @example(2 * P256_N - 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_jacobian_oracle(self, prod, s):
+        G = prod.base_point
+        two_g = curve.point_add(prod, G, G)
+        half = s * pow(2, -1, prod.order_n)
+        assert curve.scalar_mul(prod, s, G) == \
+            curve.scalar_mul(prod, half, two_g)
+
+    def test_domain_not_name_selects_openssl(self, prod, monkeypatch):
+        G = prod.base_point
+        expected = curve.scalar_mul(prod, 12345, G)
+        calls = []
+        real = curve._p256_base_mul
+
+        def counted(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(curve, "_p256_base_mul", counted)
+        fresh = curve.make_params(gx=G.x, gy=G.y, **P256_DOMAIN)
+        assert fresh.name == ""
+        calls.clear()
+        assert curve.scalar_mul(fresh, 12345, G) == expected
+        assert calls == [12345]
+
+    def test_other_base_or_curve_stays_pure_python(self, prod, monkeypatch):
+        G = prod.base_point
+        two_g = curve.point_add(prod, G, G)
+        rng = random.Random(23)
+        scalars = [1, 2, P256_N - 1] + [rng.randrange(P256_N) for _ in range(5)]
+        expected = [curve.scalar_mul(prod, 2 * s, G) for s in scalars]
+
+        def refuse(s):
+            raise AssertionError("OpenSSL path taken off P-256")
+
+        monkeypatch.setattr(curve, "_p256_base_mul", refuse)
+        shifted = curve.make_params(gx=two_g.x, gy=two_g.y, **P256_DOMAIN)
+        assert [curve.scalar_mul(shifted, s, two_g) for s in scalars] == \
+            expected
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        acc = curve.INFINITY
+        for s in range(toy.order_n + 1):
+            assert curve.scalar_mul(toy, s, toy.base_point) == acc
+            acc = curve.point_add(toy, acc, toy.base_point)
 
 
 class TestOracles:
