@@ -12,7 +12,6 @@ import sys
 from dataclasses import replace
 
 from . import authority, curve, experiments, scenarios, wire
-from .child import ChildState
 from .crypto import ManualClock
 from .errors import FogcaError
 from .integrity import AffinityStore, compute_ivv, verify_ivv
@@ -80,16 +79,13 @@ def _mint_children(params, seed: int, idents: list[bytes]):
         params, random.Random(master.getrandbits(64)), clock, store)
     children = {}
     for ident in idents:
-        channel_key = random.Random(master.getrandbits(64)).randbytes(32)
-        profile = scenarios.device_profile(ident)
-        store.provision(profile, channel_key)
-        child = ChildState(ident, announcement, channel_key,
-                           random.Random(master.getrandbits(64)), clock)
+        child = scenarios.provision(store, announcement, master, clock, ident)
         clock.advance(7)
-        resp = state.register_child(child.request_registration(), profile)
+        resp = state.register_child(child.request_registration(),
+                                    store.get(ident).profile)
         child.confirm_auth_key(resp, state.handle_auth_request)
         children[ident] = child
-    return state, announcement, children, clock
+    return state, children, clock
 
 
 def cmd_setup(args) -> int:
@@ -102,7 +98,7 @@ def cmd_setup(args) -> int:
 def cmd_register(args) -> int:
     params = curve.load_preset(args.curve)
     ident = args.id.encode()
-    state, _, children, _ = _mint_children(params, args.seed, [ident])
+    state, children, _ = _mint_children(params, args.seed, [ident])
     child = children[ident]
     same = state.sessions[ident][1] == child.ca_session[1]
     print(f"registered {args.id}: auth key installed, "
@@ -113,7 +109,7 @@ def cmd_register(args) -> int:
 def cmd_handshake(args) -> int:
     params = curve.load_preset(args.curve)
     idents = [f"child-{i:02d}".encode() for i in range(args.nodes)]
-    state, _, children, clock = _mint_children(params, args.seed, idents)
+    state, children, clock = _mint_children(params, args.seed, idents)
     failures = 0
     for ident, child in children.items():
         clock.advance(11)
@@ -128,7 +124,7 @@ def cmd_handshake(args) -> int:
 def cmd_peer(args) -> int:
     params = curve.load_preset(args.curve)
     a, b = args.from_id.encode(), args.to_id.encode()
-    state, _, children, _ = _mint_children(params, args.seed, [a, b])
+    state, children, _ = _mint_children(params, args.seed, [a, b])
     target, relay = state.relay_peer_request(a, children[a].peer_init(b))
     initiator, challenge = children[target].peer_respond(relay)
     peer_id, proof = children[a].peer_accept(challenge)

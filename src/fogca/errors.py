@@ -126,6 +126,10 @@ class NoPendingChallenge(Refusal):
     """No outstanding challenge exists for this peer (single-use)."""
 
 
+class UnexpectedMessage(Refusal):
+    """A decoded message of a type this party does not answer."""
+
+
 class UnknownId(FogcaError):
     """Operation references an identity that was never registered."""
 

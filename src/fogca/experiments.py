@@ -32,8 +32,9 @@ import numpy as np
 from . import authority, curve, wire
 from .child import ChildState
 from .errors import FogcaError, UnknownProfile
+from .hosts import answer
 from .integrity import AffinityStore
-from .scenarios import device_profile
+from .scenarios import provision
 from .simnet import Network, SimClock
 
 SETTING_FRACTIONS = {
@@ -184,16 +185,10 @@ class _QueuedServer:
 
     def process(self, net: Network, event) -> None:
         try:
-            msg = wire.decode(event.payload, self.state.params)
-            if isinstance(msg, wire.RegistrationRequest):
-                resp = self.state.register_child(msg, self.profiles[msg.child_id])
-            elif isinstance(msg, wire.AuthRequest):
-                resp = self.state.handle_auth_request(msg)
-            else:
-                return
+            dest, reply = answer(self.state, self.profiles, event)
         except FogcaError:
             return  # refusals (replayed retransmits, duplicates) are silent
-        net.send(self.node_id, event.src, wire.encode(resp, self.state.params))
+        net.send(self.node_id, dest, reply)
 
 
 @dataclass
@@ -212,19 +207,13 @@ class _Device:
     scheduled times, retransmits the same bytes on timeout, and matches
     responses to transactions in per-server FIFO order."""
 
-    def __init__(self, ident: bytes, announcement, channel_key, rng, clock,
-                 workload: WorkloadSpec, pick_server):
-        self.ident = ident
-        self.node_id = ident.decode()
+    def __init__(self, base: ChildState, announcement, workload: WorkloadSpec,
+                 pick_server):
+        self.base = base
+        self.node_id = base.ident.decode()
         self.announcement = announcement
-        self.channel_key = channel_key
-        self.rng = rng
-        self.clock = clock
         self.workload = workload
         self.pick_server = pick_server
-        self.base = ChildState(ident, announcement, channel_key, rng, clock,
-                               freshness_window_ms=workload.freshness_window_ms)
-        self.auth_key = None
         self.outstanding: dict[str, list[_Txn]] = {}
         self.deferred_auths = 0
         self.stats: list[_Txn] = []
@@ -267,15 +256,15 @@ class _Device:
         self.send_txn(net, _Txn("registration", dest, payload))
 
     def start_auth(self, net: Network, dest: str) -> None:
-        if self.auth_key is None:
+        base = self.base
+        if base.auth_key is None:
             # not registered yet: hold the slot until registration lands
             self.deferred_auths += 1
             return
-        handshake = ChildState(self.ident, self.announcement,
-                               self.channel_key, self.rng, self.clock,
-                               self.workload.freshness_window_ms)
-        handshake.auth_key = self.auth_key
-        payload = wire.encode(handshake.auth_init(), self.base.params)
+        handshake = ChildState(base.ident, self.announcement, base.channel_key,
+                               base.rng, base.clock, base.freshness_window_ms)
+        handshake.auth_key = base.auth_key
+        payload = wire.encode(handshake.auth_init(), base.params)
         self.send_txn(net, _Txn("auth", dest, payload, handshake=handshake))
 
     # -- receiving -------------------------------------------------------------
@@ -291,7 +280,6 @@ class _Device:
             if txn is None:
                 return
             self.base.install_auth_key(msg)
-            self.auth_key = self.base.auth_key
             txn.completed_at = net.now
             self._release_deferred(net)
         elif isinstance(msg, wire.AuthResponse):
@@ -364,13 +352,10 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
     profiles = {}
     devices: list[_Device] = []
     for ident in idents:
-        channel_key = random.Random(master.getrandbits(64)).randbytes(32)
-        prof = device_profile(ident)
-        store.provision(prof, channel_key)
-        profiles[ident] = prof
-        dev = _Device(ident, announcement, channel_key,
-                      random.Random(master.getrandbits(64)), clock, workload,
-                      pick_server)
+        base = provision(store, announcement, master, clock, ident,
+                         workload.freshness_window_ms)
+        profiles[ident] = store.get(ident).profile
+        dev = _Device(base, announcement, workload, pick_server)
         dev.attach(net)
         devices.append(dev)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import wire
 from .authority import AuthorityState
 from .child import ChildState
-from .errors import FogcaError
+from .errors import FogcaError, UnexpectedMessage
 from .simnet import Network, SimEvent
 
 
@@ -25,6 +25,25 @@ class Verdict:
     at: int
     kind: str      # e.g. "ReplayDetected", "key-agreement"
     detail: str = ""
+
+
+def answer(state: AuthorityState, profiles, event: SimEvent) -> tuple[str, bytes]:
+    """Decode a request to the authority, run its operation and return
+    (destination node, encoded reply); every refusal raises FogcaError.
+    `profiles` holds the device reports sent with registrations."""
+    params = state.params
+    msg = wire.decode(event.payload, params)
+    if isinstance(msg, wire.RegistrationRequest):
+        profile = profiles.get(msg.child_id)
+        if profile is None:
+            raise FogcaError(f"no device report for {msg.child_id!r}")
+        return event.src, wire.encode(state.register_child(msg, profile), params)
+    if isinstance(msg, wire.AuthRequest):
+        return event.src, wire.encode(state.handle_auth_request(msg), params)
+    if isinstance(msg, wire.PeerInit):
+        target, relay = state.relay_peer_request(event.src.encode(), msg)
+        return target.decode(), wire.encode(relay, params)
+    raise UnexpectedMessage(type(msg).__name__)
 
 
 class AuthorityHost:
@@ -43,30 +62,8 @@ class AuthorityHost:
 
     def handle(self, net: Network, event: SimEvent) -> None:
         try:
-            msg = wire.decode(event.payload, self.state.params)
-        except FogcaError as exc:
-            self.verdicts.append(Verdict(net.now, type(exc).__name__, str(exc)))
-            return
-        try:
-            if isinstance(msg, wire.RegistrationRequest):
-                profile = self.reported_profiles.get(msg.child_id)
-                if profile is None:
-                    raise FogcaError(f"no device report for {msg.child_id!r}")
-                resp = self.state.register_child(msg, profile)
-                net.send(self.node_id, event.src,
-                         wire.encode(resp, self.state.params))
-            elif isinstance(msg, wire.AuthRequest):
-                resp = self.state.handle_auth_request(msg)
-                net.send(self.node_id, event.src,
-                         wire.encode(resp, self.state.params))
-            elif isinstance(msg, wire.PeerInit):
-                from_id = event.src.encode()
-                target, relay = self.state.relay_peer_request(from_id, msg)
-                net.send(self.node_id, target.decode(),
-                         wire.encode(relay, self.state.params))
-            else:
-                self.verdicts.append(Verdict(
-                    net.now, "UnexpectedMessage", type(msg).__name__))
+            net.send(self.node_id,
+                     *answer(self.state, self.reported_profiles, event))
         except FogcaError as exc:
             self.verdicts.append(Verdict(net.now, type(exc).__name__, str(exc)))
 

@@ -53,6 +53,20 @@ def device_profile(ident: bytes) -> DeviceProfile:
         ["slot0"], ["slot1", "slot2"], ["telnet"])
 
 
+def provision(store: AffinityStore, announcement: wire.Announcement,
+              master: random.Random, clock, ident: bytes,
+              freshness_window_ms: int = authority.DEFAULT_FRESHNESS_WINDOW_MS,
+              ) -> ChildState:
+    """Manufacturer step for one device: draw its registration channel
+    key from `master`, record `device_profile(ident)` with that key as
+    its affinity baseline, then draw the device's own generator."""
+    channel_key = random.Random(master.getrandbits(64)).randbytes(32)
+    store.provision(device_profile(ident), channel_key)
+    return ChildState(ident, announcement, channel_key,
+                      random.Random(master.getrandbits(64)), clock,
+                      freshness_window_ms)
+
+
 @dataclass
 class _Rig:
     net: Network
@@ -85,12 +99,8 @@ def build_rig(seed: int, params: curve.CurveParams,
         node_id = ident.decode()
         net.add_node(node_id, tier="thing", role="child")
         net.connect_duplex(node_id, "gw", base_latency_ms=LINK_MS)
-        channel_key = random.Random(master.getrandbits(64)).randbytes(32)
-        profile = device_profile(ident)
-        store.provision(profile, channel_key)
-        host.reported_profiles[ident] = profile
-        child_state = ChildState(ident, announcement, channel_key,
-                                 random.Random(master.getrandbits(64)), clock)
+        child_state = provision(store, announcement, master, clock, ident)
+        host.reported_profiles[ident] = store.get(ident).profile
         child_host = ChildHost(node_id, child_state, "custodian")
         child_host.attach(net)
         children[ident] = child_host
@@ -192,10 +202,9 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
     net = rig.net
     net.add_node("mallory", tier="thing", role="child")
     net.connect_duplex("mallory", "gw", base_latency_ms=LINK_MS)
-    forged_state = ChildState(b"cam-01", rig.announcement,
-                              random.Random(master.getrandbits(64)).randbytes(32),
-                              random.Random(master.getrandbits(64)),
-                              SimClock(net))
+    # mallory's own device, provisioned with no authority
+    forged_state = provision(AffinityStore(), rig.announcement, master,
+                             SimClock(net), b"cam-01")
     # forged key: some scalar times the identity point, but not the CA's
     wrong_scalar = curve.random_scalar(params, master)
     while wrong_scalar == rig.authority_host.state.private_key:

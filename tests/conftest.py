@@ -1,12 +1,11 @@
-import hashlib
 import random
 
 import pytest
 
 from fogca import authority, curve
-from fogca.child import ChildState
 from fogca.crypto import ManualClock
-from fogca.integrity import AffinityStore, DeviceProfile
+from fogca.integrity import AffinityStore
+from fogca.scenarios import provision
 
 
 @pytest.fixture(scope="session")
@@ -19,35 +18,22 @@ def prod():
     return curve.prod256()
 
 
-def make_profile(ident: bytes) -> DeviceProfile:
-    return DeviceProfile.canonical(
-        ident,
-        hashlib.sha256(b"fw:" + ident).digest(),
-        hashlib.sha256(b"os:" + ident).digest(),
-        [("sensord", "1.2"), ("sshd", "9.0")],
-        ["slot0"], ["slot1"], ["telnet"])
-
-
 class Rig:
     """Authority plus helpers to mint registered children, no network."""
 
-    def __init__(self, params, seed=0, freshness_window_ms=2000):
+    def __init__(self, params, seed=0):
         self.master = random.Random(seed)
         self.clock = ManualClock()
         self.store = AffinityStore()
         self.authority, self.announcement = authority.setup(
             params, random.Random(self.master.getrandbits(64)),
-            self.clock, self.store, freshness_window_ms)
+            self.clock, self.store)
         self.params = params
 
     def provision(self, ident: bytes):
-        key = random.Random(self.master.getrandbits(64)).randbytes(32)
-        profile = make_profile(ident)
-        self.store.provision(profile, key)
-        child = ChildState(ident, self.announcement, key,
-                           random.Random(self.master.getrandbits(64)),
-                           self.clock)
-        return child, profile
+        child = provision(self.store, self.announcement, self.master,
+                          self.clock, ident)
+        return child, self.store.get(ident).profile
 
     def register(self, ident: bytes):
         """Full registration including the confirmation round."""

@@ -20,8 +20,9 @@ from fogca.errors import (
     UnknownId,
 )
 from fogca.integrity import TrustState, perturb_profile
+from fogca.scenarios import device_profile
 
-from conftest import Rig, make_profile
+from conftest import Rig
 
 
 class TestSetup:
@@ -58,7 +59,7 @@ class TestRegistration:
     def test_unknown_device(self, toy_rig):
         with pytest.raises(UnknownDevice):
             toy_rig.authority.register_child(
-                wire.RegistrationRequest(b"ghost"), make_profile(b"ghost"))
+                wire.RegistrationRequest(b"ghost"), device_profile(b"ghost"))
 
     def test_tampered_profile_quarantines(self, toy_rig):
         child, profile = toy_rig.provision(b"cam-01")
@@ -76,7 +77,7 @@ class TestRegistration:
         child = toy_rig.register(b"cam-01")
         with pytest.raises(DuplicateRegistration):
             toy_rig.authority.register_child(child.request_registration(),
-                                             make_profile(b"cam-01"))
+                                             device_profile(b"cam-01"))
 
     def test_reissue_after_revoke(self, toy_rig):
         toy_rig.register(b"cam-01")

@@ -1,9 +1,12 @@
+import random
 from dataclasses import replace
 
 import pytest
 
+from fogca import authority, curve, wire
 from fogca import experiments as ex
 from fogca.errors import UnknownProfile
+from fogca.simnet import Network, SimClock
 
 # small, fast workload for functional tests; the frozen default drives
 # the acceptance suite
@@ -103,6 +106,23 @@ class TestRunExperiment:
             assert txn.mean_ms <= txn.max_ms
             assert txn.p50_ms <= txn.p95_ms <= txn.max_ms
         assert stats.cloud_tasks >= 0 and stats.fog_tasks >= 0
+
+
+class TestQueuedServer:
+    def test_unprovisioned_registration_refused_silently(self):
+        net = Network(1)
+        net.add_node("fog-ca", tier="community", role="authority")
+        net.add_node("ghost", tier="thing", role="child")
+        net.connect_duplex("ghost", "fog-ca", 5)
+        state, _ = authority.setup(curve.toy17(), random.Random(2),
+                                   SimClock(net))
+        server = ex._QueuedServer("fog-ca", state, 500.0, profiles={})
+        server.attach(net)
+        net.send("ghost", "fog-ca",
+                 wire.encode(wire.RegistrationRequest(b"ghost")))
+        delivered = net.run()
+        assert [e.dst for e in delivered] == ["fog-ca"]
+        assert server.tasks == 1 and state.registry == {}
 
 
 class TestSweep:

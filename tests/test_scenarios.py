@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from fogca import curve, scenarios, wire
+from fogca.crypto import seal
 from fogca.simnet import AdversaryPolicy, Duplicate, Rule
 
 
@@ -87,3 +90,13 @@ class TestHostsOverNetwork:
         verdicts = [v.kind for v in rig.children[b"lock-02"].verdicts]
         assert "peer-established" in verdicts
         assert "NoPendingChallenge" in verdicts
+
+    def test_authority_records_unexpected_message(self):
+        rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
+        stray = wire.RegistrationResponse(
+            seal(bytes(32), b"not a request", random.Random(0)))
+        rig.net.send("cam-01", "custodian", wire.encode(stray))
+        rig.net.run()
+        [verdict] = rig.authority_host.verdicts
+        assert (verdict.kind, verdict.detail) == ("UnexpectedMessage",
+                                                  "RegistrationResponse")
