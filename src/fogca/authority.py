@@ -29,7 +29,13 @@ from .errors import (
     UnknownDevice,
     UnknownId,
 )
-from .integrity import AffinityStore, DeviceProfile, TrustState
+from .integrity import (
+    AffinityStore,
+    DeviceProfile,
+    TrustState,
+    parse_records,
+    write_records,
+)
 from .wire import (
     Announcement,
     AuthRequest,
@@ -52,7 +58,6 @@ class RegistrationRecord:
     auth_key: curve.CurvePoint
     issued_at: int
     lifetime_ms: int | None  # None = no scheduled expiry
-    channel_key: bytes
 
     def expired(self, now_ms: int) -> bool:
         return (self.lifetime_ms is not None
@@ -149,7 +154,7 @@ class AuthorityState:
         box = seal(record.channel_key,
                    curve.encode_point(self.params, auth_key), self.rng)
         self.registry[req.child_id] = RegistrationRecord(
-            req.child_id, auth_key, now, lifetime_ms, record.channel_key)
+            req.child_id, auth_key, now, lifetime_ms)
         self.crl = [e for e in self.crl if e.child_id != req.child_id]
         self.sessions.pop(req.child_id, None)
         self.ever_registered.add(req.child_id)
@@ -278,8 +283,7 @@ class AuthorityState:
                 "REG", rec.child_id.hex(),
                 curve.encode_point(self.params, rec.auth_key).hex(),
                 str(rec.issued_at),
-                "-" if rec.lifetime_ms is None else str(rec.lifetime_ms),
-                rec.channel_key.hex()]))
+                "-" if rec.lifetime_ms is None else str(rec.lifetime_ms)]))
         for entry in self.crl:
             lines.append(" ".join([
                 "CRL", entry.child_id.hex(), str(entry.revoked_at),
@@ -287,35 +291,35 @@ class AuthorityState:
         return lines
 
     def load_records(self, lines) -> None:
-        """Restore registry and CRL from `dump_records` output."""
-        self.registry.clear()
-        self.crl = []
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "REG":
-                _, cid, key_hex, issued, lifetime, channel = parts
+        """Restore registry and CRL from `dump_records` output.  A bad
+        line raises MalformedRecord and leaves the state as it was."""
+        registry: dict[bytes, RegistrationRecord] = {}
+        crl: list[CrlEntry] = []
+
+        def parse(fields):
+            kind, rest = fields[0], fields[1:]
+            if kind == "REG":
+                cid, key_hex, issued, lifetime = rest
                 child_id = bytes.fromhex(cid)
-                self.registry[child_id] = RegistrationRecord(
+                registry[child_id] = RegistrationRecord(
                     child_id,
                     curve.decode_point(self.params, bytes.fromhex(key_hex)),
                     int(issued),
-                    None if lifetime == "-" else int(lifetime),
-                    bytes.fromhex(channel))
-                self.ever_registered.add(child_id)
-            elif parts[0] == "CRL":
-                _, cid, at, reason = parts
-                child_id = bytes.fromhex(cid)
-                self.crl.append(CrlEntry(child_id, int(at), reason))
-                self.ever_registered.add(child_id)
+                    None if lifetime == "-" else int(lifetime))
+            elif kind == "CRL":
+                cid, at, reason = rest
+                if reason not in REVOKE_REASONS:
+                    raise ValueError(f"unknown revocation reason {reason!r}")
+                crl.append(CrlEntry(bytes.fromhex(cid), int(at), reason))
             else:
-                raise ValueError(f"unknown record type {parts[0]!r}")
+                raise ValueError(f"unknown record type {kind!r}")
+
+        parse_records(lines, parse)
+        self.registry, self.crl = registry, crl
+        self.ever_registered.update(registry, (e.child_id for e in crl))
 
     def save_records(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.dump_records()) + "\n")
+        write_records(path, self.dump_records())
 
     def load_records_file(self, path) -> None:
         with open(path) as fh:

@@ -23,9 +23,7 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
-
-from cryptography.hazmat.primitives.asymmetric import ec
+from importlib import import_module, resources
 
 from .errors import (
     DecodeError,
@@ -305,24 +303,30 @@ _P256_DOMAIN = (
     0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551,
     1,
 )
-_P256_CURVE = ec.SECP256R1()
 # cached in place of a base-point window table: OpenSSL computes the
 # multiples of this domain's base point
 _OPENSSL_P256 = object()
+# cryptography's EC module, imported with the first P-256 domain so that
+# processes that never use one do not load it
+_ec = None
 
 
 def _p256_base_mul(s: int) -> CurvePoint:
     """s * G on P-256 through OpenSSL, for 1 <= s < n."""
-    pub = ec.derive_private_key(s, _P256_CURVE).public_key().public_numbers()
+    key = _ec.derive_private_key(s, _ec.SECP256R1())
+    pub = key.public_key().public_numbers()
     return CurvePoint(pub.x, pub.y)
 
 
 def _base_table(params: CurveParams):
     """_OPENSSL_P256 when the whole domain is P-256, else the window
     table of the base point."""
+    global _ec
     G = params.base_point
     if (params.p, params.a, params.b, G.x, G.y, params.order_n,
             params.cofactor) == _P256_DOMAIN:
+        if _ec is None:
+            _ec = import_module("cryptography.hazmat.primitives.asymmetric.ec")
         return _OPENSSL_P256
     return _window_table(params, G)
 

@@ -142,6 +142,16 @@ class UntrustedProvenance(FogcaError):
     """Profile update did not arrive over the trusted parent channel."""
 
 
+# ---- persistence ---------------------------------------------------------
+
+class MalformedRecord(FogcaError):
+    """A line of a registry or affinity file cannot be parsed."""
+
+    def __init__(self, lineno: int, reason: str):
+        super().__init__(f"line {lineno}: {reason}")
+        self.lineno = lineno
+
+
 # ---- simulation ----------------------------------------------------------
 
 class UnknownNode(FogcaError):

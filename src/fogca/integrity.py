@@ -12,9 +12,17 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 
-from .errors import NonCanonicalProfile, UnknownDevice, UntrustedProvenance
+from .errors import (
+    FogcaError,
+    MalformedRecord,
+    NonCanonicalProfile,
+    UnknownDevice,
+    UntrustedProvenance,
+)
 
 DIGEST_LEN = 32
 
@@ -249,24 +257,54 @@ class AffinityStore:
     @classmethod
     def from_lines(cls, lines) -> "AffinityStore":
         store = cls()
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            blob, key, trust, since = line.split()
+
+        def parse(fields):
+            blob, key, trust, since = fields
             profile = parse_profile(bytes.fromhex(blob))
             store.records[profile.device_id] = AffinityRecord(
                 profile, bytes.fromhex(key), TrustState(trust), int(since))
+
+        parse_records(lines, parse)
         return store
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.dump_lines()) + "\n")
+        write_records(path, self.dump_lines())
 
     @classmethod
     def load(cls, path) -> "AffinityStore":
         with open(path) as fh:
             return cls.from_lines(fh)
+
+
+def parse_records(lines, parse) -> None:
+    """Call `parse` on the fields of each record line, skipping blank
+    lines and `#` comments; any failure raises MalformedRecord with the
+    line number."""
+    for lineno, line in enumerate(lines, 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            parse(fields)
+        except (ValueError, FogcaError) as exc:
+            raise MalformedRecord(lineno, f"{type(exc).__name__}: {exc}") from exc
+
+
+def write_records(path, lines) -> None:
+    """Replace the file at `path` with one record per line, atomically:
+    the lines go to a temporary file in the same directory, which is
+    then renamed over `path`, so a crash leaves the old or the new file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=".fogca-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def perturb_profile(profile: DeviceProfile, fieldname: str) -> DeviceProfile:

@@ -348,6 +348,10 @@ class TestStateHygiene:
         toy_rig.authority.revoke(b"lock-02", "compromise")
         path = tmp_path / "registry.txt"
         toy_rig.authority.save_records(path)
+        text = path.read_text()
+        assert [len(line.split()) for line in text.splitlines()
+                if line.startswith("REG")] == [5, 5]
+        assert toy_rig.store.get(b"cam-01").channel_key.hex() not in text
 
         fresh, _ = authority.setup(toy_rig.params, random.Random(55))
         fresh.load_records_file(path)

@@ -113,6 +113,14 @@ class TestIvv:
         code, out, _ = run(capsys, ["ivv", "--profile", bp, "--report", rp])
         assert code == 1 and "os_digest" in out
 
+    def test_malformed_file_is_an_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# baseline\nnot-hex 01 trusted 0\n")
+        code, out, err = run(capsys, ["ivv", "--profile", str(bad),
+                                      "--report", str(bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: MalformedRecord: line 2: ")
+
 
 class TestExperiment:
     def test_writes_csv(self, capsys, tmp_path):

@@ -1,10 +1,18 @@
 import hashlib
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogca import integrity
-from fogca.errors import NonCanonicalProfile, UnknownDevice, UntrustedProvenance
+from fogca import authority, curve, integrity
+from fogca.errors import (
+    MalformedRecord,
+    NonCanonicalProfile,
+    UnknownDevice,
+    UntrustedProvenance,
+)
 from fogca.integrity import (
     AffinityStore,
     DeviceProfile,
@@ -12,6 +20,7 @@ from fogca.integrity import (
     apply_countermeasure,
     compute_ivv,
     perturb_profile,
+    serialize_profile,
     verify_ivv,
 )
 
@@ -193,3 +202,91 @@ class TestAffinityStore:
         assert loaded.get(b"b").trust is TrustState.QUARANTINED
         assert loaded.get(b"b").since_ms == 9
         assert loaded.get(b"a").channel_key == b"\x01" * 32
+
+
+def _lp(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def _affinity_line(blob: bytes, trust: str = "trusted") -> str:
+    return f"{blob.hex()} {'01' * 32} {trust} 0"
+
+
+# lines made of plausible and random tokens, so the loaders see both
+# near-valid records and noise
+TOKENS = st.one_of(
+    st.sampled_from(["REG", "CRL", "-", "#", "00", "04", "compromise",
+                     "expiry", "trusted", "quarantined",
+                     serialize_profile(profile()).hex()]),
+    st.binary(max_size=40).map(bytes.hex),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(max_size=6))
+LINES = st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=5)
+
+
+class TestPersistence:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=LINES)
+    def test_affinity_loader_raises_only_malformed_record(self, lines):
+        try:
+            AffinityStore.from_lines(lines)
+        except MalformedRecord as exc:
+            assert 1 <= exc.lineno <= len(lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=LINES)
+    def test_registry_loader_raises_only_malformed_record(self, lines):
+        state, _ = authority.setup(curve.toy17(), random.Random(3))
+        try:
+            state.load_records(lines)
+        except MalformedRecord as exc:
+            assert 1 <= exc.lineno <= len(lines)
+
+    UNSORTED = (_lp(b"dev") + _lp(bytes(32)) + _lp(bytes(32)) + b"\x00"
+                + b"\x01" + _lp(b"s1") + b"\x01" + _lp(b"s0") + b"\x00"
+                + b"\x00\x00")
+
+    @pytest.mark.parametrize("bad", [
+        "zz " + "01" * 32 + " trusted 0",                      # hex
+        serialize_profile(profile()).hex() + " 01 trusted",     # field count
+        _affinity_line(serialize_profile(profile()), "fine"),   # trust state
+        _affinity_line(serialize_profile(profile()))[:-1] + "x",  # int
+        _affinity_line(serialize_profile(profile())[:-3]),      # truncated
+        _affinity_line(UNSORTED),                               # canonical
+    ])
+    def test_affinity_bad_line_names_its_number(self, bad):
+        good = _affinity_line(serialize_profile(profile(b"ok")))
+        with pytest.raises(MalformedRecord, match="^line 3: "):
+            AffinityStore.from_lines([good, "# comment", bad])
+
+    @pytest.mark.parametrize("bad", [
+        "REG zz 00 0 -",            # hex
+        "REG 61 00 0",              # field count
+        "REV 61 0 policy",          # record type
+        "CRL 61 soon policy",       # int
+        "CRL 61 0 boredom",         # revocation reason
+        "REG 61 0401 0 -",          # point encoding
+    ])
+    def test_registry_bad_line_leaves_state(self, bad):
+        state, _ = authority.setup(curve.toy17(), random.Random(3))
+        state.load_records(["CRL 62 5 policy"])
+        with pytest.raises(MalformedRecord, match="^line 2: "):
+            state.load_records(["REG 61 00 0 -", bad])
+        assert state.registry == {} and state.is_revoked(b"b")
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        store = AffinityStore()
+        store.provision(profile(b"a"), b"\x01" * 32)
+        path = tmp_path / "affinity.txt"
+        store.save(path)
+        before = path.read_bytes()
+        store.provision(profile(b"b"), b"\x02" * 32)
+
+        def crash(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(integrity.os, "fsync", crash)
+        with pytest.raises(OSError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["affinity.txt"]
