@@ -164,11 +164,9 @@ class ChildState:
         if not 1 <= len(peer_id) <= 64:
             raise ValueError("peer identity must be 1-64 bytes")
         proposed_key = new_symmetric_key(self.rng)
-        spare_nonce = new_nonce(self.rng)  # reserved for later challenges
         msg = PeerInit(
             peer_box=seal(ca_key, peer_id, self.rng),
-            key_box=seal(ca_key, proposed_key, self.rng),
-            nonce_box=seal(ca_key, spare_nonce, self.rng))
+            key_box=seal(ca_key, proposed_key, self.rng))
         self.proposed[peer_id] = proposed_key
         return msg
 

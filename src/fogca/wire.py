@@ -68,10 +68,9 @@ class AuthResponse:
 
 @dataclass(frozen=True)
 class PeerInit:
-    """Initiator -> authority: target id, proposed key, spare nonce."""
+    """Initiator -> authority: target id and proposed key."""
     peer_box: SealedBox
     key_box: SealedBox
-    nonce_box: SealedBox
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> byt
                 + msg.sent_at.to_bytes(8, "big"))
     if isinstance(msg, PeerInit):
         return (bytes([TAG_PEER_INIT]) + msg.peer_box.to_bytes()
-                + msg.key_box.to_bytes() + msg.nonce_box.to_bytes())
+                + msg.key_box.to_bytes())
     if isinstance(msg, PeerRelay):
         return (bytes([TAG_PEER_RELAY]) + msg.initiator_box.to_bytes()
                 + msg.key_box.to_bytes())
@@ -279,7 +278,7 @@ def _decode(data: bytes, params: curve.CurveParams | None) -> ProtocolMessage:
         r.done()
         return AuthResponse(blinded, key_check, sent_at)
     if tag == TAG_PEER_INIT:
-        msg = PeerInit(r.box(), r.box(), r.box())
+        msg = PeerInit(r.box(), r.box())
         r.done()
         return msg
     if tag == TAG_PEER_RELAY:

@@ -21,7 +21,7 @@ def sample_messages(params):
         wire.RegistrationResponse(box(b"sealed-auth-key")),
         wire.AuthRequest(b"cam-01", point, other, 123456),
         wire.AuthResponse(point, other, 999),
-        wire.PeerInit(box(b"peer"), box(b"k" * 32), box(b"n" * 16)),
+        wire.PeerInit(box(b"peer"), box(b"k" * 32)),
         wire.PeerRelay(box(b"cam-01"), box(b"k" * 32)),
         wire.PeerChallenge(box(b"lock-02"), box(b"n" * 16)),
         wire.PeerProof(box(b"n" * 16)),
