@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -206,6 +210,24 @@ class TestP256FixedBase:
         for s in range(toy.order_n + 1):
             assert curve.scalar_mul(toy, s, toy.base_point) == acc
             acc = curve.point_add(toy, acc, toy.base_point)
+
+
+    def test_ec_module_loads_with_the_first_p256_domain(self):
+        # a process that only uses toy17 should not pay for the import
+        code = ("import sys\n"
+                "from fogca import cli, curve\n"
+                "ec = 'cryptography.hazmat.primitives.asymmetric.ec'\n"
+                "toy = curve.toy17()\n"
+                "curve.scalar_mul(toy, 3, toy.base_point)\n"
+                "print(ec in sys.modules)\n"
+                "prod = curve.prod256()\n"
+                "curve.scalar_mul(prod, 3, prod.base_point)\n"
+                "print(ec in sys.modules)\n")
+        src = Path(curve.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestOracles:

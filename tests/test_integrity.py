@@ -204,13 +204,15 @@ class TestAffinityStore:
         assert loaded.get(b"a").channel_key == b"\x01" * 32
 
 
-def _lp(raw: bytes) -> bytes:
-    return len(raw).to_bytes(4, "big") + raw
-
-
 def _affinity_line(blob: bytes, trust: str = "trusted") -> str:
     return f"{blob.hex()} {'01' * 32} {trust} 0"
 
+
+_lp = integrity._lp
+# a profile blob whose used_slots are out of order
+UNSORTED = (_lp(b"dev") + _lp(bytes(32)) + _lp(bytes(32)) + b"\x00"
+            + b"\x01" + _lp(b"s1") + b"\x01" + _lp(b"s0") + b"\x00"
+            + b"\x00\x00")
 
 # lines made of plausible and random tokens, so the loaders see both
 # near-valid records and noise
@@ -241,10 +243,6 @@ class TestPersistence:
             state.load_records(lines)
         except MalformedRecord as exc:
             assert 1 <= exc.lineno <= len(lines)
-
-    UNSORTED = (_lp(b"dev") + _lp(bytes(32)) + _lp(bytes(32)) + b"\x00"
-                + b"\x01" + _lp(b"s1") + b"\x01" + _lp(b"s0") + b"\x00"
-                + b"\x00\x00")
 
     @pytest.mark.parametrize("bad", [
         "zz " + "01" * 32 + " trusted 0",                      # hex
