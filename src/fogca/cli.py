@@ -1,6 +1,7 @@
 """Command-line front end: thin shells over the library.
 
-Exit codes: 0 success, 1 protocol/verdict failure, 2 usage error.
+Exit codes: 0 success, 1 protocol/verdict failure or unreadable file,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](args)
-    except FogcaError as exc:
+    except (FogcaError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

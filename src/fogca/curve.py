@@ -2,7 +2,7 @@
 
 The group law is implemented twice: a readable affine chord-tangent form
 (`point_add`) that tests exercise directly, and an internal Jacobian
-double-and-add used by `scalar_mul` for speed.  The two are proven
+windowed double-and-add used by `scalar_mul` for speed.  The two are proven
 equivalent exhaustively on the toy curve.  On a curve whose domain is
 exactly NIST P-256, multiples of the base point come from OpenSSL
 instead; tests check that path against the Jacobian code.
@@ -225,7 +225,7 @@ def point_sub(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint
     return point_add(params, p1, point_neg(params, p2))
 
 
-# ---- scalar multiplication (Jacobian, 4-bit window) -----------------------
+# ---- scalar multiplication (Jacobian, windowed) ---------------------------
 
 _mult_watchers: list[dict] = []
 
@@ -284,13 +284,27 @@ def _jac_add(P1, P2, p, a):
     return (X3, Y3, Z3)
 
 
-def _window_table(params: CurveParams, pt: CurvePoint):
-    """[O, P, 2P, ..., 15P] in Jacobian coordinates."""
+# width of the cached base-point table, which is built once per curve
+_BASE_WIDTH = 4
+
+
+def _window_table(params: CurveParams, pt: CurvePoint, width: int):
+    """[O, P, 2P, ..., (2^width - 1)P] in Jacobian coordinates."""
     base = (pt.x, pt.y, 1)
     table = [(0, 0, 0), base]
-    for _ in range(14):
+    for _ in range((1 << width) - 2):
         table.append(_jac_add(table[-1], base, params.p, params.a))
     return table
+
+
+def _window_width(params: CurveParams) -> int:
+    """Window width for a point other than the base, whose table
+    `scalar_mul` builds on every call: the w in 1..4 with the fewest
+    table additions (2^w - 2) plus window additions (ceil(k / w) for
+    k-bit scalars), the smaller w on a tie.  The doublings number about
+    k for every w.  4 on P-256; 1, plain double-and-add, on toy17."""
+    k = params.order_n.bit_length()
+    return min(range(1, 5), key=lambda w: (1 << w) - 2 + (k + w - 1) // w)
 
 
 # SEC 2 secp256r1 (NIST P-256): p, a, b, Gx, Gy, n, cofactor
@@ -328,7 +342,7 @@ def _base_table(params: CurveParams):
         if _ec is None:
             _ec = import_module("cryptography.hazmat.primitives.asymmetric.ec")
         return _OPENSSL_P256
-    return _window_table(params, G)
+    return _window_table(params, G, _BASE_WIDTH)
 
 
 def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
@@ -350,19 +364,23 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
             object.__setattr__(params, "_base_table", table)
         if table is _OPENSSL_P256:
             return _p256_base_mul(s)
+        width = _BASE_WIDTH
     else:
-        table = _window_table(params, pt)
+        width = getattr(params, "_window_width", None)
+        if width is None:
+            width = _window_width(params)
+            object.__setattr__(params, "_window_width", width)
+        table = _window_table(params, pt, width)
     R = (0, 0, 0)
-    nbits = (s.bit_length() + 3) & ~3
-    for shift in range(nbits - 4, -4, -4):
+    mask = (1 << width) - 1
+    nbits = -(-s.bit_length() // width) * width
+    for shift in range(nbits - width, -width, -width):
         if R[2]:
-            R = _jac_double(R, p, a)
-            R = _jac_double(R, p, a)
-            R = _jac_double(R, p, a)
-            R = _jac_double(R, p, a)
-        nib = (s >> shift) & 15
-        if nib:
-            R = _jac_add(R, table[nib], p, a)
+            for _ in range(width):
+                R = _jac_double(R, p, a)
+        digit = (s >> shift) & mask
+        if digit:
+            R = _jac_add(R, table[digit], p, a)
     if not R[2]:
         return INFINITY
     zi = pow(R[2], p - 2, p)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import configparser
 import csv
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -214,7 +215,9 @@ class _Device:
         self.announcement = announcement
         self.workload = workload
         self.pick_server = pick_server
-        self.outstanding: dict[str, list[_Txn]] = {}
+        # transactions sent per (server, kind), in send order; those
+        # answered through another server are dropped on reaching the front
+        self.outstanding: dict[tuple[str, str], deque[_Txn]] = {}
         self.deferred_auths = 0
         self.stats: list[_Txn] = []
         self.retransmissions = 0
@@ -227,7 +230,7 @@ class _Device:
     def send_txn(self, net: Network, txn: _Txn) -> None:
         txn.first_sent = net.now
         self.stats.append(txn)
-        self.outstanding.setdefault(txn.dest, []).append(txn)
+        self._expect(txn.dest, txn)
         net.send(self.node_id, txn.dest, txn.payload)
         self._arm_timeout(net, txn)
 
@@ -247,7 +250,7 @@ class _Device:
         # correctly, and a fog retry rescues a cloud-queued transaction
         retry_dest = self.pick_server()
         if retry_dest != txn.dest:
-            self.outstanding.setdefault(retry_dest, []).append(txn)
+            self._expect(retry_dest, txn)
         net.send(self.node_id, retry_dest, txn.payload)
         self._arm_timeout(net, txn)
 
@@ -274,16 +277,15 @@ class _Device:
             msg = wire.decode(event.payload, self.base.params)
         except FogcaError:
             return
-        queue = self.outstanding.get(event.src, [])
         if isinstance(msg, wire.RegistrationResponse):
-            txn = self._pop(queue, "registration")
+            txn = self._pop(event.src, "registration")
             if txn is None:
                 return
             self.base.install_auth_key(msg)
             txn.completed_at = net.now
             self._release_deferred(net)
         elif isinstance(msg, wire.AuthResponse):
-            txn = self._pop(queue, "auth")
+            txn = self._pop(event.src, "auth")
             if txn is None:
                 return
             try:
@@ -292,13 +294,16 @@ class _Device:
                 return  # leaves the transaction incomplete
             txn.completed_at = net.now
 
-    @staticmethod
-    def _pop(queue: list[_Txn], kind: str) -> _Txn | None:
-        while queue and queue[0].completed_at is not None:
-            queue.pop(0)  # answered via another server's retry
-        for i, txn in enumerate(queue):
-            if txn.kind == kind and txn.completed_at is None:
-                return queue.pop(i)
+    def _expect(self, server: str, txn: _Txn) -> None:
+        self.outstanding.setdefault((server, txn.kind), deque()).append(txn)
+
+    def _pop(self, server: str, kind: str) -> _Txn | None:
+        """The oldest unanswered `kind` transaction sent to `server`."""
+        queue = self.outstanding.get((server, kind))
+        while queue:
+            txn = queue.popleft()
+            if txn.completed_at is None:
+                return txn
         return None
 
     def _release_deferred(self, net: Network) -> None:

@@ -121,6 +121,14 @@ class TestIvv:
         assert code == 1 and out == ""
         assert err.startswith("error: MalformedRecord: line 2: ")
 
+    def test_missing_file_is_an_error_line(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, ["ivv", "--profile", missing,
+                                      "--report", missing])
+        assert code == 1 and out == ""
+        assert err.startswith("error: FileNotFoundError: ")
+        assert missing in err and "Traceback" not in err
+
 
 class TestExperiment:
     def test_writes_csv(self, capsys, tmp_path):

@@ -230,6 +230,60 @@ class TestP256FixedBase:
         assert out.stdout.split() == ["False", "True"]
 
 
+class TestWindowWidth:
+    """The variable-base window width follows the subgroup order; every
+    width gives the same multiples, so forcing one into the cached slot
+    of a fresh params object checks its table and loop."""
+
+    def test_width_follows_the_order(self, toy, prod):
+        assert curve._window_width(prod) == 4
+        assert curve._window_width(toy) == 1
+        # the base-point table is built once per curve and stays 4 wide
+        assert len(toy._base_table) == 16
+
+    def test_width_is_chosen_once_per_params(self, monkeypatch):
+        calls = []
+        real = curve._window_width
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(curve, "_window_width", counted)
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        pt = curve.CurvePoint(3, 1)
+        for s in range(1, 6):
+            curve.scalar_mul(toy, s, pt)
+        assert calls == [toy] and toy._window_width == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_every_width_matches_affine_oracle_on_toy(self, width):
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        object.__setattr__(toy, "_window_width", width)
+        for pt in all_toy_points(toy):
+            acc = curve.INFINITY
+            for s in range(2 * toy.order_n + 1):
+                assert curve.scalar_mul(toy, s, pt) == acc
+                acc = curve.point_add(toy, acc, pt)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_every_width_matches_openssl_on_p256(self, prod, width):
+        # s * (k * G) == (s * k) * G, the right side from OpenSSL's fixed
+        # base, which the default width-4 path matches too
+        G = prod.base_point
+        fresh = curve.make_params(gx=G.x, gy=G.y, **P256_DOMAIN)
+        object.__setattr__(fresh, "_window_width", width)
+        rng = random.Random(29 + width)
+        scalars = [0, 1, P256_N - 1, P256_N, P256_N + 1, 2 * P256_N - 1,
+                   rng.randrange(P256_N)]
+        for k in (rng.randrange(2, P256_N), rng.randrange(2, P256_N)):
+            pt = curve.scalar_mul(prod, k, G)
+            for s in scalars:
+                expected = curve.scalar_mul(prod, s * k, G)
+                assert curve.scalar_mul(fresh, s, pt) == expected
+                assert curve.scalar_mul(prod, s, pt) == expected
+
+
 class TestOracles:
     def test_dlp_trivial(self, toy):
         assert curve.brute_force_dlp(toy, curve.INFINITY) == 0

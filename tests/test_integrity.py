@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogca import authority, curve, integrity
@@ -226,7 +226,58 @@ TOKENS = st.one_of(
 LINES = st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=5)
 
 
+# random contents for the two persistence formats; identities are never
+# empty (DeviceProfile and hash_to_point refuse b"")
+IDENTS = st.binary(min_size=1, max_size=12)
+TIMES = st.integers(-2**64, 2**64)
+NAMES = st.text(max_size=8)
+DIGESTS = st.binary(min_size=32, max_size=32)
+PROFILES = st.builds(
+    DeviceProfile.canonical, IDENTS, DIGESTS, DIGESTS,
+    st.lists(st.tuples(NAMES, NAMES), max_size=3),
+    st.lists(NAMES, max_size=3), st.lists(NAMES, max_size=3),
+    st.lists(NAMES, max_size=3))
+AFFINITY = st.lists(
+    st.tuples(PROFILES, DIGESTS, st.sampled_from(TrustState), TIMES),
+    max_size=4, unique_by=lambda rec: rec[0].device_id)
+REGISTRY = st.lists(
+    st.tuples(IDENTS,
+              st.sampled_from(sorted(curve.enumerate_points(curve.toy17()),
+                                     key=lambda q: (q.x is None, q.x, q.y))),
+              TIMES, st.none() | TIMES),
+    max_size=4, unique_by=lambda rec: rec[0])
+CRL = st.lists(
+    st.tuples(IDENTS, TIMES, st.sampled_from(authority.REVOKE_REASONS)),
+    max_size=4)
+
+
 class TestPersistence:
+    @settings(max_examples=200, deadline=None)
+    @given(records=REGISTRY, crl=CRL)
+    @example(records=[(b"\x00", curve.INFINITY, 0, 0)],
+             crl=[(b"\x00", 0, "expiry")])
+    def test_registry_and_crl_roundtrip(self, records, crl):
+        state, _ = authority.setup(curve.toy17(), random.Random(3))
+        state.registry = {rec[0]: authority.RegistrationRecord(*rec)
+                          for rec in records}
+        state.crl = [authority.CrlEntry(*entry) for entry in crl]
+        loaded, _ = authority.setup(curve.toy17(), random.Random(4))
+        loaded.load_records(state.dump_records())
+        assert list(loaded.registry.items()) == list(state.registry.items())
+        assert loaded.crl == state.crl
+        assert loaded.ever_registered == \
+            {rec[0] for rec in records} | {entry[0] for entry in crl}
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=AFFINITY)
+    def test_affinity_roundtrip(self, records):
+        store = AffinityStore()
+        for prof, channel_key, trust, since in records:
+            store.provision(prof, channel_key)
+            store.set_trust(prof.device_id, trust, since)
+        loaded = AffinityStore.from_lines(store.dump_lines())
+        assert list(loaded.records.items()) == list(store.records.items())
+
     @settings(max_examples=300, deadline=None)
     @given(lines=LINES)
     def test_affinity_loader_raises_only_malformed_record(self, lines):
