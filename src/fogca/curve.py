@@ -2,10 +2,10 @@
 
 The group law is implemented twice: a readable affine chord-tangent form
 (`point_add`) that tests exercise directly, and an internal Jacobian
-windowed double-and-add used by `scalar_mul` for speed.  The two are proven
-equivalent exhaustively on the toy curve.  On a curve whose domain is
-exactly NIST P-256, multiples of the base point come from OpenSSL
-instead; tests check that path against the Jacobian code.
+windowed double-and-add used by `scalar_mul` for speed.  The two are
+proven equivalent exhaustively on the toy curve.  On a curve whose
+domain is exactly NIST P-256, multiples of the base point come from
+OpenSSL instead; tests check that path against the Jacobian code.
 
 Scalars are plain ints reduced modulo the subgroup order.  Points are
 immutable; the point at infinity is the module constant INFINITY.
@@ -373,10 +373,10 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
         table = _window_table(params, pt, width)
     R = (0, 0, 0)
     mask = (1 << width) - 1
-    nbits = -(-s.bit_length() // width) * width
-    for shift in range(nbits - width, -width, -width):
+    doublings = range(width)
+    for shift in range((s.bit_length() - 1) // width * width, -1, -width):
         if R[2]:
-            for _ in range(width):
+            for _ in doublings:
                 R = _jac_double(R, p, a)
         digit = (s >> shift) & mask
         if digit:
