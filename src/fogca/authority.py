@@ -10,7 +10,7 @@ with, and maintains the revocation list and short-lived registrations.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import curve
 from .crypto import ManualClock, check_freshness, derive_session_key, open_box, seal
@@ -53,11 +53,15 @@ REVOKE_REASONS = ("compromise", "expiry", "policy")
 
 @dataclass
 class RegistrationRecord:
-    """Issued authentication key plus issue metadata."""
+    """Issued authentication key plus issue metadata.  `ident_point`
+    caches H1(child_id); it is not persisted, so a record restored by
+    `load_records` fills it at its first handshake."""
     child_id: bytes
     auth_key: curve.CurvePoint
     issued_at: int
     lifetime_ms: int | None  # None = no scheduled expiry
+    ident_point: curve.CurvePoint | None = field(
+        default=None, compare=False, repr=False)
 
     def expired(self, now_ms: int) -> bool:
         return (self.lifetime_ms is not None
@@ -154,7 +158,7 @@ class AuthorityState:
         box = seal(record.channel_key,
                    curve.encode_point(self.params, auth_key), self.rng)
         self.registry[req.child_id] = RegistrationRecord(
-            req.child_id, auth_key, now, lifetime_ms)
+            req.child_id, auth_key, now, lifetime_ms, ident_point)
         self.crl = [e for e in self.crl if e.child_id != req.child_id]
         self.sessions.pop(req.child_id, None)
         self.ever_registered.add(req.child_id)
@@ -180,7 +184,10 @@ class AuthorityState:
             raise ReplayDetected(f"duplicate (id, T1) {cache_key!r}")
 
         params = self.params
-        ident_point = curve.hash_to_point(params, req.child_id)
+        ident_point = record.ident_point
+        if ident_point is None:
+            ident_point = record.ident_point = curve.hash_to_point(
+                params, req.child_id)
         t1 = curve.hash_to_scalar(params, curve.H2_TAG,
                                   [req.sent_at.to_bytes(8, "big")])
         # recover the client's random point: M_C - t1 * (private * Q_id)

@@ -60,6 +60,7 @@ class ChildState:
         self.clock = clock if clock is not None else ManualClock()
         self.freshness_window_ms = freshness_window_ms
         self.auth_key: curve.CurvePoint | None = None
+        self._ident_point: curve.CurvePoint | None = None  # H1(ident), once
         self.ca_session: tuple[int, bytes] | None = None
         self.peer_sessions: dict[bytes, bytes] = {}
         self.proposed: dict[bytes, bytes] = {}
@@ -137,7 +138,10 @@ class ChildState:
             curve.scalar_mul(params, t2, self.auth_key))
         if server_point.is_infinity:
             raise KeyMismatch("recovered server point is infinity")
-        ident_point = curve.hash_to_point(params, self.ident)
+        ident_point = self._ident_point
+        if ident_point is None:
+            ident_point = self._ident_point = curve.hash_to_point(
+                params, self.ident)
         w = params.field_width
         k_scalar, key = derive_session_key(
             params,

@@ -6,6 +6,8 @@ windowed double-and-add used by `scalar_mul` for speed.  The two are
 proven equivalent exhaustively on the toy curve.  On a curve whose
 domain is exactly NIST P-256, multiples of the base point come from
 OpenSSL instead; tests check that path against the Jacobian code.
+Field inverses are Python's modular inverse `pow(x, -1, p)`, and a
+square root modulo p = 3 (mod 4) is one exponentiation plus a check.
 
 Scalars are plain ints reduced modulo the subgroup order.  Points are
 immutable; the point at infinity is the module constant INFINITY.
@@ -72,16 +74,18 @@ def is_probable_prime(m: int) -> bool:
 def sqrt_mod(c: int, p: int) -> int | None:
     """Square root of c modulo prime p, or None if c is a non-residue.
 
-    Fast path for p = 3 (mod 4); Tonelli-Shanks otherwise (the toy curve
-    has p = 1 mod 4, so the general case is required).
+    For p = 3 (mod 4) one exponentiation, r = c^((p+1)/4), whose square
+    is c exactly when c is a residue; Tonelli-Shanks otherwise (the toy
+    curve has p = 1 mod 4, so the general case is required).
     """
     c %= p
     if c == 0:
         return 0
+    if p % 4 == 3:
+        r = pow(c, (p + 1) // 4, p)
+        return r if r * r % p == c else None
     if pow(c, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(c, (p + 1) // 4, p)
     # Tonelli-Shanks
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -213,9 +217,9 @@ def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint
         if (p1.y + p2.y) % p == 0:
             return INFINITY
         # tangent line at a doubled point
-        lam = (3 * p1.x * p1.x + params.a) * pow(2 * p1.y, p - 2, p) % p
+        lam = (3 * p1.x * p1.x + params.a) * pow(2 * p1.y, -1, p) % p
     else:
-        lam = (p2.y - p1.y) * pow(p2.x - p1.x, p - 2, p) % p
+        lam = (p2.y - p1.y) * pow(p2.x - p1.x, -1, p) % p
     x3 = (lam * lam - p1.x - p2.x) % p
     y3 = (lam * (p1.x - x3) - p1.y) % p
     return CurvePoint(x3, y3)
@@ -383,7 +387,7 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
             R = _jac_add(R, table[digit], p, a)
     if not R[2]:
         return INFINITY
-    zi = pow(R[2], p - 2, p)
+    zi = pow(R[2], -1, p)
     zi2 = zi * zi % p
     return CurvePoint(R[0] * zi2 % p, R[1] * zi2 % p * zi % p)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import wire
 from .authority import AuthorityState
 from .child import ChildState
-from .errors import FogcaError, UnexpectedMessage
+from .errors import FogcaError, UnexpectedMessage, UnknownDevice
 from .simnet import Network, SimEvent
 
 
@@ -36,7 +36,7 @@ def answer(state: AuthorityState, profiles, event: SimEvent) -> tuple[str, bytes
     if isinstance(msg, wire.RegistrationRequest):
         profile = profiles.get(msg.child_id)
         if profile is None:
-            raise FogcaError(f"no device report for {msg.child_id!r}")
+            raise UnknownDevice(f"no device report for {msg.child_id!r}")
         return event.src, wire.encode(state.register_child(msg, profile), params)
     if isinstance(msg, wire.AuthRequest):
         return event.src, wire.encode(state.handle_auth_request(msg), params)

@@ -411,3 +411,73 @@ class TestStateHygiene:
         alone = children[1].auth_init()
         state.handle_auth_request(alone)
         assert state.replay_cache == {(alone.child_id, alone.sent_at)}
+
+
+def count_h1_calls(monkeypatch) -> list[bytes]:
+    """Record the identity of every curve.hash_to_point call."""
+    calls: list[bytes] = []
+    real = curve.hash_to_point
+
+    def counting(params, ident):
+        calls.append(ident)
+        return real(params, ident)
+
+    monkeypatch.setattr(curve, "hash_to_point", counting)
+    return calls
+
+
+class TestIdentityPointCache:
+    def test_handshakes_reuse_the_cached_points(self, toy_rig, monkeypatch):
+        calls = count_h1_calls(monkeypatch)
+        child, profile = toy_rig.provision(b"cam-01")
+        toy_rig.clock.advance(5)
+        resp = toy_rig.authority.register_child(child.request_registration(),
+                                                profile)
+        assert calls == [b"cam-01"]
+        child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        assert calls == [b"cam-01", b"cam-01"]  # the child's first finish
+        for _ in range(10):
+            toy_rig.clock.advance(10)
+            req = child.auth_init()
+            resp = toy_rig.authority.handle_auth_request(req)
+            assert len(calls) == 2
+            assert (child.auth_finish(resp)
+                    == toy_rig.authority.sessions[b"cam-01"][1])
+        assert len(calls) == 2
+        point = curve.hash_to_point(toy_rig.params, b"cam-01")
+        assert toy_rig.authority.registry[b"cam-01"].ident_point == point
+        assert child._ident_point == point
+
+    @pytest.mark.parametrize("rig_name", ["toy_rig", "prod_rig"])
+    def test_loaded_record_fills_its_point(self, rig_name, request,
+                                           monkeypatch):
+        rig = request.getfixturevalue(rig_name)
+        child = rig.register(b"cam-01")
+        restored = authority.AuthorityState(
+            rig.params, rig.authority.private_key, random.Random(9),
+            rig.clock, rig.store)
+        restored.load_records(rig.authority.dump_records())
+        record = restored.registry[b"cam-01"]
+        assert record.ident_point is None
+        assert record == rig.authority.registry[b"cam-01"]
+        calls = count_h1_calls(monkeypatch)
+        for _ in range(2):  # only the first handshake hashes the identity
+            rig.clock.advance(10)
+            resp = restored.handle_auth_request(child.auth_init())
+            assert child.auth_finish(resp) == restored.sessions[b"cam-01"][1]
+            assert calls == [b"cam-01"]
+        assert record.ident_point == curve.hash_to_point(rig.params, b"cam-01")
+
+    def test_reissue_after_revoke_stores_a_fresh_record(self, toy_rig):
+        toy_rig.register(b"cam-01")
+        old = toy_rig.authority.registry[b"cam-01"]
+        toy_rig.authority.revoke(b"cam-01", "policy")
+        toy_rig.clock.advance(100)
+        child2, profile = toy_rig.provision(b"cam-01")
+        resp = toy_rig.authority.register_child(
+            child2.request_registration(), profile)
+        child2.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        record = toy_rig.authority.registry[b"cam-01"]
+        assert record is not old and record.issued_at > old.issued_at
+        assert record.ident_point == curve.hash_to_point(toy_rig.params,
+                                                         b"cam-01")

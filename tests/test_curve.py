@@ -21,6 +21,34 @@ TOY_H1_A = "040603"
 TOY_H1_B = "040901"
 PROD_H1_A = ("04423005aec2c5e7ffa3a67234f68686eb38ec56800c7c03a7adda82bd33807050"
              "4ec9d808bad4302a5ec1c7973793d7b46fdb7548be7d78eb40375f3f4d6ae54e")
+# H1 points of five identities per preset, recorded before the
+# one-exponentiation square root
+H1_GOLDEN = {
+    "toy17": [
+        (b"cam-01", "040706"),
+        (b"device-7", "040901"),
+        (b"p256-0000", "040603"),
+        (b"child-a", "040006"),
+        (b"\x00\xffx", "040603"),
+    ],
+    "prod256": [
+        (b"cam-01",
+         ("040443763b0139751fa307be788a4fd40017fc11004e2049bdd781e8351b00406b"
+          "7d3df9680702c65322dfe2ee0d4fa15b788aeb0a98ec8735641fb6b069f0b089")),
+        (b"device-7",
+         ("0448fdd82cc412bd209776197b761d3a2b29f69fd1aec3d346ad961a0634204650"
+          "3979025aa93227d0ad1537ed6dde907b9444d8807088ad1ae30b76aaae43415e")),
+        (b"p256-0000",
+         ("045697ed90ec1220bc43ab7ea8726b58d2c57f07db23a0840776b9fc98cdb2ddbc"
+          "45c412f7a469c759a9094b1b3a0eb0a4b5e5f48442c5ed1f1795b99259138c58")),
+        (b"child-a",
+         ("04f97884dd8ade147c5b0d0684afd323195609e0e6a4cff574d86a15ea3969f4bf"
+          "439f94007febeeb72359e73b0aa7438b51fa439d7c2277efeff8c504f49a317a")),
+        (b"\x00\xffx",
+         ("0485fc5b05015727caae9c9d980c80f7e9bc54c277357bd2d7fb5ef5aca67cd719"
+          "0616fef7584c8f76567291ae41d56c6a04b05ab323fb716f6fe3a84c92b4b971")),
+    ],
+}
 TOY_POINTS = [(0, 6), (0, 11), (3, 1), (3, 16), (5, 1), (5, 16), (6, 3),
               (6, 14), (7, 6), (7, 11), (9, 1), (9, 16), (10, 6), (10, 11),
               (13, 7), (13, 10), (16, 4), (16, 13)]
@@ -334,6 +362,13 @@ class TestHashing:
         assert curve.encode_point(toy, curve.hash_to_point(toy, b"B")).hex() == TOY_H1_B
         assert curve.encode_point(prod, curve.hash_to_point(prod, b"A")).hex() == PROD_H1_A
 
+    @pytest.mark.parametrize("preset", sorted(H1_GOLDEN))
+    def test_hash_to_point_golden_identities(self, preset):
+        params = curve.load_preset(preset)
+        for ident, expected in H1_GOLDEN[preset]:
+            pt = curve.hash_to_point(params, ident)
+            assert curve.encode_point(params, pt).hex() == expected
+
     def test_hash_to_point_on_curve(self, prod):
         rng = random.Random(13)
         for _ in range(100):
@@ -428,6 +463,11 @@ class TestParams:
             curve.load_preset("nope")
 
 
+# primes = 3 (mod 4), which take the one-exponentiation root, and
+# primes = 1 (mod 4), which take Tonelli-Shanks
+SQRT_PRIMES = (7, 11, 23, 10007, curve.prod256().p, 13, 17, 10009)
+
+
 class TestSqrtMod:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200, deadline=None)
@@ -438,3 +478,17 @@ class TestSqrtMod:
                 assert root * root % p == value % p
             else:
                 assert pow(value % p, (p - 1) // 2, p) == p - 1
+
+    @given(st.sampled_from(SQRT_PRIMES), st.integers(0, 1 << 256))
+    @settings(max_examples=300, deadline=None)
+    @example(7, 0)
+    @example(curve.prod256().p, curve.prod256().p - 1)
+    def test_sqrt_mod_matches_euler_criterion(self, p, value):
+        c = value % p
+        root = curve.sqrt_mod(value, p)
+        if c and pow(c, (p - 1) // 2, p) == p - 1:
+            assert root is None
+        else:
+            assert root is not None and root * root % p == c
+            if p % 4 == 3:
+                assert root == pow(c, (p + 1) // 4, p)

@@ -1,0 +1,38 @@
+"""Smoke runs of the benchmark's gated workloads on this checkout.
+
+Each workload runs for one second from a temporary copy of `fogbench/`
+beside a link to `src/`, so its reports stay out of the checkout.  The
+runner's own checks (equal keys, expected refusals, repeatable
+`DelayStats`, constant scalar-multiplication counts) fail the run."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GATED = [w["name"] for w in
+         json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def bench_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench")
+    shutil.copytree(ROOT / "fogbench", root / "fogbench",
+                    ignore=shutil.ignore_patterns("results", "__pycache__"))
+    (root / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    return root
+
+
+@pytest.mark.parametrize("workload", GATED)
+def test_gated_workload_runs_correctly(bench_root, workload):
+    proc = subprocess.run(
+        [sys.executable, "fogbench/run.py", "--workload", workload,
+         "--seconds", "1", "--trace", "0"],
+        cwd=bench_root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

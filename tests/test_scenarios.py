@@ -100,3 +100,12 @@ class TestHostsOverNetwork:
         [verdict] = rig.authority_host.verdicts
         assert (verdict.kind, verdict.detail) == ("UnexpectedMessage",
                                                   "RegistrationResponse")
+
+    def test_authority_records_registration_without_report(self):
+        rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
+        rig.net.send("cam-01", "custodian",
+                     wire.encode(wire.RegistrationRequest(b"ghost")))
+        rig.net.run()
+        [verdict] = rig.authority_host.verdicts
+        assert (verdict.kind, verdict.detail) == (
+            "UnknownDevice", "no device report for b'ghost'")
