@@ -81,6 +81,7 @@ class TestRegistration:
 
     def test_reissue_after_revoke(self, toy_rig):
         toy_rig.register(b"cam-01")
+        old = toy_rig.authority.registry[b"cam-01"]
         toy_rig.authority.revoke(b"cam-01", "compromise")
         toy_rig.clock.advance(100)
         child2, profile = toy_rig.provision(b"cam-01")
@@ -88,6 +89,10 @@ class TestRegistration:
             child2.request_registration(), profile)
         child2.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
         assert not toy_rig.authority.is_revoked(b"cam-01")
+        record = toy_rig.authority.registry[b"cam-01"]
+        assert record is not old
+        assert record.ident_point == curve.hash_to_point(toy_rig.params,
+                                                         b"cam-01")
 
 
 # wire bytes and session keys of a seeded prod256 register + confirm +
@@ -467,17 +472,3 @@ class TestIdentityPointCache:
             assert child.auth_finish(resp) == restored.sessions[b"cam-01"][1]
             assert calls == [b"cam-01"]
         assert record.ident_point == curve.hash_to_point(rig.params, b"cam-01")
-
-    def test_reissue_after_revoke_stores_a_fresh_record(self, toy_rig):
-        toy_rig.register(b"cam-01")
-        old = toy_rig.authority.registry[b"cam-01"]
-        toy_rig.authority.revoke(b"cam-01", "policy")
-        toy_rig.clock.advance(100)
-        child2, profile = toy_rig.provision(b"cam-01")
-        resp = toy_rig.authority.register_child(
-            child2.request_registration(), profile)
-        child2.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
-        record = toy_rig.authority.registry[b"cam-01"]
-        assert record is not old and record.issued_at > old.issued_at
-        assert record.ident_point == curve.hash_to_point(toy_rig.params,
-                                                         b"cam-01")
