@@ -96,8 +96,7 @@ class AuthorityState:
         self.replay_cache: set[tuple[bytes, int]] = set()
         self._replay_order: deque[tuple[bytes, int]] = deque()
         self.sessions: dict[bytes, tuple[int, bytes]] = {}
-        self.crl: list[CrlEntry] = []
-        self.ever_registered: set[bytes] = set()
+        self.crl: dict[bytes, CrlEntry] = {}  # latest revocation per id
 
     # ---- announcement -----------------------------------------------------
 
@@ -107,21 +106,15 @@ class AuthorityState:
     # ---- revocation helpers ----------------------------------------------
 
     def is_revoked(self, child_id: bytes) -> bool:
-        return any(e.child_id == child_id for e in self.crl)
-
-    def _latest_crl_reason(self, child_id: bytes) -> str | None:
-        for entry in reversed(self.crl):
-            if entry.child_id == child_id:
-                return entry.reason
-        return None
+        return child_id in self.crl
 
     def _refuse_if_unusable(self, child_id: bytes, now_ms: int) -> RegistrationRecord:
         """Common gate for authentication and relay requests: revocation,
         registration, trust, and short-key expiry."""
-        reason = self._latest_crl_reason(child_id)
-        if reason == "expiry":
-            raise Expired(f"{child_id!r} registration expired")
-        if reason is not None:
+        revoked = self.crl.get(child_id)
+        if revoked is not None:
+            if revoked.reason == "expiry":
+                raise Expired(f"{child_id!r} registration expired")
             raise Revoked(f"{child_id!r} is on the revocation list")
         record = self.registry.get(child_id)
         if record is None:
@@ -141,27 +134,28 @@ class AuthorityState:
                        countermeasure_policy: str = "quarantine") -> RegistrationResponse:
         """Verify device integrity against the affinity baseline, then
         issue the authentication key sealed under the pre-shared
-        registration channel key."""
+        registration channel key.  A duplicate of a live registration is
+        refused before the integrity check, so it cannot move the
+        device's trust."""
         now = self.clock.now()
         record = self.affinity.get(req.child_id)  # UnknownDevice if absent
         if record.trust in (TrustState.QUARANTINED, TrustState.BLACKLISTED):
             raise DeviceUntrusted(f"{req.child_id!r} is {record.trust.value}")
+        if req.child_id in self.registry and req.child_id not in self.crl:
+            raise DuplicateRegistration(f"{req.child_id!r} already registered")
         verdict = self.affinity.verify(req.child_id, profile, now,
                                        countermeasure_policy)
         if not verdict.match:
             raise IntegrityMismatch(verdict.diff,
                                     countermeasure=record.trust.value)
-        if req.child_id in self.registry and not self.is_revoked(req.child_id):
-            raise DuplicateRegistration(f"{req.child_id!r} already registered")
         ident_point = curve.hash_to_point(self.params, req.child_id)
         auth_key = curve.scalar_mul(self.params, self.private_key, ident_point)
         box = seal(record.channel_key,
                    curve.encode_point(self.params, auth_key), self.rng)
         self.registry[req.child_id] = RegistrationRecord(
             req.child_id, auth_key, now, lifetime_ms, ident_point)
-        self.crl = [e for e in self.crl if e.child_id != req.child_id]
+        self.crl.pop(req.child_id, None)
         self.sessions.pop(req.child_id, None)
-        self.ever_registered.add(req.child_id)
         return RegistrationResponse(box)
 
     # ---- mutual authentication (responder) --------------------------------
@@ -263,10 +257,10 @@ class AuthorityState:
     def revoke(self, child_id: bytes, reason: str) -> CrlEntry:
         if reason not in REVOKE_REASONS:
             raise ValueError(f"reason must be one of {REVOKE_REASONS}")
-        if child_id not in self.ever_registered:
-            raise UnknownId(f"{child_id!r} was never registered")
-        entry = CrlEntry(child_id, self.clock.now(), reason)
-        self.crl.append(entry)
+        if child_id not in self.registry and child_id not in self.crl:
+            raise UnknownId(f"{child_id!r} is neither registered nor revoked")
+        entry = self.crl[child_id] = CrlEntry(child_id, self.clock.now(),
+                                              reason)
         self.registry.pop(child_id, None)
         self.sessions.pop(child_id, None)
         return entry
@@ -278,7 +272,7 @@ class AuthorityState:
         for cid in gone:
             self.registry.pop(cid)
             self.sessions.pop(cid, None)
-            self.crl.append(CrlEntry(cid, now, "expiry"))
+            self.crl[cid] = CrlEntry(cid, now, "expiry")
         return len(gone)
 
     # ---- persistence: line-oriented, hex fields ----------------------------
@@ -291,7 +285,7 @@ class AuthorityState:
                 curve.encode_point(self.params, rec.auth_key).hex(),
                 str(rec.issued_at),
                 "-" if rec.lifetime_ms is None else str(rec.lifetime_ms)]))
-        for entry in self.crl:
+        for entry in self.crl.values():
             lines.append(" ".join([
                 "CRL", entry.child_id.hex(), str(entry.revoked_at),
                 entry.reason]))
@@ -301,7 +295,7 @@ class AuthorityState:
         """Restore registry and CRL from `dump_records` output.  A bad
         line raises MalformedRecord and leaves the state as it was."""
         registry: dict[bytes, RegistrationRecord] = {}
-        crl: list[CrlEntry] = []
+        crl: dict[bytes, CrlEntry] = {}
 
         def parse(fields):
             kind, rest = fields[0], fields[1:]
@@ -317,13 +311,13 @@ class AuthorityState:
                 cid, at, reason = rest
                 if reason not in REVOKE_REASONS:
                     raise ValueError(f"unknown revocation reason {reason!r}")
-                crl.append(CrlEntry(bytes.fromhex(cid), int(at), reason))
+                child_id = bytes.fromhex(cid)
+                crl[child_id] = CrlEntry(child_id, int(at), reason)
             else:
                 raise ValueError(f"unknown record type {kind!r}")
 
         parse_records(lines, parse)
         self.registry, self.crl = registry, crl
-        self.ever_registered.update(registry, (e.child_id for e in crl))
 
     def save_records(self, path) -> None:
         write_records(path, self.dump_records())

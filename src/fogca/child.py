@@ -65,7 +65,7 @@ class ChildState:
         self.peer_sessions: dict[bytes, bytes] = {}
         self.proposed: dict[bytes, bytes] = {}
         self.pending_challenges: dict[bytes, bytes] = {}
-        self._pending_auth: tuple[curve.CurvePoint, int] | None = None
+        self._pending_auth: curve.CurvePoint | None = None  # random point
 
     # ---- registration ------------------------------------------------------
 
@@ -117,7 +117,7 @@ class ChildState:
             params, random_point,
             curve.scalar_mul(params, t1, self.auth_key))
         x_proof = curve.scalar_mul(params, random_point.x, params.base_point)
-        self._pending_auth = (random_point, sent_at)
+        self._pending_auth = random_point
         return AuthRequest(self.ident, blinded, x_proof, sent_at)
 
     def auth_finish(self, resp: AuthResponse) -> bytes:
@@ -125,7 +125,7 @@ class ChildState:
         accepted only if the key-confirmation point verifies."""
         if self._pending_auth is None:
             raise ValueError("auth_finish without a pending auth_init")
-        random_point, _ = self._pending_auth
+        random_point = self._pending_auth
         self._pending_auth = None
         params = self.params
         now = self.clock.now()

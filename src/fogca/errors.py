@@ -131,7 +131,7 @@ class UnexpectedMessage(Refusal):
 
 
 class UnknownId(FogcaError):
-    """Operation references an identity that was never registered."""
+    """Operation names an identity that is neither registered nor revoked."""
 
 
 class NonCanonicalProfile(FogcaError):

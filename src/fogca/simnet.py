@@ -139,9 +139,6 @@ class TranscriptEntry:
     action: str
     payload: bytes
 
-    def hex_line(self) -> str:
-        return self.payload.hex()
-
     def json_line(self) -> str:
         return json.dumps({"at": self.at, "src": self.src, "dst": self.dst,
                            "action": self.action, "payload": self.payload.hex()},
@@ -266,9 +263,6 @@ class Network:
         entries = [e for adv in self.adversaries.values() for e in adv.transcript]
         entries.sort(key=lambda e: e.at)
         return entries
-
-    def transcript_hex(self) -> list[str]:
-        return [e.hex_line() for e in self.transcript()]
 
     def transcript_jsonl(self) -> str:
         return "\n".join(e.json_line() for e in self.transcript())

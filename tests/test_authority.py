@@ -78,6 +78,21 @@ class TestRegistration:
         with pytest.raises(DuplicateRegistration):
             toy_rig.authority.register_child(child.request_registration(),
                                              device_profile(b"cam-01"))
+        # a duplicate with a perturbed report is refused before the
+        # integrity check, so it cannot quarantine the live device
+        record = toy_rig.store.get(b"cam-01")
+        since, events = record.since_ms, list(toy_rig.store.events)
+        toy_rig.clock.advance(5)
+        with pytest.raises(DuplicateRegistration):
+            toy_rig.authority.register_child(
+                child.request_registration(),
+                perturb_profile(record.profile, "os_digest"))
+        assert record.trust is TrustState.TRUSTED
+        assert record.since_ms == since and toy_rig.store.events == events
+        toy_rig.clock.advance(5)
+        key = child.auth_finish(
+            toy_rig.authority.handle_auth_request(child.auth_init()))
+        assert toy_rig.authority.sessions[b"cam-01"][1] == key
 
     def test_reissue_after_revoke(self, toy_rig):
         toy_rig.register(b"cam-01")
@@ -229,6 +244,35 @@ class TestRevocation:
     def test_revoke_unknown(self, toy_rig):
         with pytest.raises(UnknownId):
             toy_rig.authority.revoke(b"never-seen", "policy")
+        # an identity known only before a load is unknown after it
+        toy_rig.register(b"cam-01")
+        toy_rig.authority.load_records(["CRL 62 5 policy"])
+        with pytest.raises(UnknownId):
+            toy_rig.authority.revoke(b"cam-01", "policy")
+
+    @pytest.mark.parametrize("first, second, refusal", [
+        ("expiry", "policy", Revoked),
+        ("policy", "expiry", Expired),
+    ])
+    def test_latest_revocation_decides(self, toy_rig, first, second,
+                                       refusal):
+        child = toy_rig.register(b"cam-01")
+        a = toy_rig.authority
+        first_at = toy_rig.clock.now()
+        a.revoke(b"cam-01", first)
+        toy_rig.clock.advance(5)
+        second_at = toy_rig.clock.now()
+        a.revoke(b"cam-01", second)
+        lines = [f"CRL {b'cam-01'.hex()} {first_at} {first}",
+                 f"CRL {b'cam-01'.hex()} {second_at} {second}"]
+        assert a.dump_records() == lines[1:]
+        # a file that lists both revocations loads as the later one
+        a.load_records(lines)
+        assert list(a.crl.values()) == [
+            authority.CrlEntry(b"cam-01", second_at, second)]
+        toy_rig.clock.advance(5)
+        with pytest.raises(refusal):
+            a.handle_auth_request(child.auth_init())
 
     def test_revoke_bad_reason(self, toy_rig):
         toy_rig.register(b"cam-01")
@@ -245,8 +289,7 @@ class TestRevocation:
         assert toy_rig.authority.purge_expired() == 0
         with pytest.raises(Expired):
             toy_rig.authority.handle_auth_request(child.auth_init())
-        entry = toy_rig.authority.crl[-1]
-        assert entry.child_id == b"car-77" and entry.reason == "expiry"
+        assert toy_rig.authority.crl[b"car-77"].reason == "expiry"
 
     def test_expired_without_purge_still_refused(self, toy_rig):
         child, profile = toy_rig.provision(b"car-77")
@@ -365,7 +408,37 @@ class TestStateHygiene:
         assert fresh.registry[b"cam-01"].auth_key == \
             toy_rig.authority.registry[b"cam-01"].auth_key
         assert fresh.is_revoked(b"lock-02")
-        assert fresh.crl[-1].reason == "compromise"
+        assert fresh.crl[b"lock-02"].reason == "compromise"
+
+    def test_dump_records_is_pinned(self, toy_rig):
+        # a register / revoke / reissue / purge history; a reissue drops
+        # the identity's CRL line and a later revocation goes last
+        a = toy_rig.authority
+        for ident in (b"hub-05", b"cam-01", b"lock-02", b"door-04"):
+            toy_rig.register(ident)
+        child, profile = toy_rig.provision(b"car-77")
+        toy_rig.clock.advance(5)
+        child.confirm_auth_key(
+            a.register_child(child.request_registration(), profile,
+                             lifetime_ms=50),
+            a.handle_auth_request)
+        a.revoke(b"lock-02", "policy")
+        toy_rig.clock.advance(3)
+        a.revoke(b"cam-01", "compromise")
+        toy_rig.clock.advance(100)
+        assert a.purge_expired() == 1
+        toy_rig.register(b"lock-02")
+        a.revoke(b"door-04", "policy")
+        toy_rig.clock.advance(3)
+        a.revoke(b"lock-02", "compromise")
+        toy_rig.register(b"cam-01")
+        assert a.dump_records() == [
+            "REG 6875622d3035 04100d 5 -",
+            "REG 63616d2d3031 040301 141 -",
+            "CRL 6361722d3737 128 expiry",
+            "CRL 646f6f722d3034 133 policy",
+            "CRL 6c6f636b2d3032 136 compromise",
+        ]
 
     def test_sessions_agree_over_many_runs(self, toy_rig):
         child = toy_rig.register(b"cam-01")

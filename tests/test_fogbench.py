@@ -1,4 +1,6 @@
-"""Smoke runs of the benchmark's gated workloads on this checkout.
+"""Smoke runs of the benchmark's gated workloads on this checkout, plus
+the ungated `fleet-storm-toy17`: the only workload that runs revocation,
+reissue, purging and refused handshakes at scale under its own checks.
 
 Each workload runs for one second from a temporary copy of `fogbench/`
 beside a link to `src/`, so its reports stay out of the checkout.  The
@@ -27,7 +29,7 @@ def bench_root(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", GATED)
+@pytest.mark.parametrize("workload", GATED + ["fleet-storm-toy17"])
 def test_gated_workload_runs_correctly(bench_root, workload):
     proc = subprocess.run(
         [sys.executable, "fogbench/run.py", "--workload", workload,

@@ -260,13 +260,13 @@ class TestPersistence:
         state, _ = authority.setup(curve.toy17(), random.Random(3))
         state.registry = {rec[0]: authority.RegistrationRecord(*rec)
                           for rec in records}
-        state.crl = [authority.CrlEntry(*entry) for entry in crl]
+        state.crl = {entry[0]: authority.CrlEntry(*entry) for entry in crl}
         loaded, _ = authority.setup(curve.toy17(), random.Random(4))
         loaded.load_records(state.dump_records())
         assert list(loaded.registry.items()) == list(state.registry.items())
-        assert loaded.crl == state.crl
-        assert loaded.ever_registered == \
-            {rec[0] for rec in records} | {entry[0] for entry in crl}
+        assert list(loaded.crl.items()) == list(state.crl.items())
+        for child_id in [*state.registry, *state.crl]:
+            loaded.revoke(child_id, "policy")
 
     @settings(max_examples=200, deadline=None)
     @given(records=AFFINITY)
