@@ -53,6 +53,7 @@ class ChildState:
         if not 1 <= len(ident) <= 64:
             raise ValueError("identity must be 1-64 bytes")
         self.ident = ident
+        self.announcement = announcement
         self.params = announcement.params
         self.authority_key = announcement.public_key
         self.channel_key = channel_key
@@ -102,6 +103,21 @@ class ChildState:
 
     # ---- mutual authentication (initiator) ----------------------------------
 
+    def _identity_point(self) -> curve.CurvePoint:
+        if self._ident_point is None:
+            self._ident_point = curve.hash_to_point(self.params, self.ident)
+        return self._ident_point
+
+    def handshake(self) -> "ChildState":
+        """A state of its own for one more handshake, so that several can
+        be in flight at once.  It shares this device's keys, random
+        source, clock and cached H1(ident)."""
+        state = ChildState(self.ident, self.announcement, self.channel_key,
+                           self.rng, self.clock, self.freshness_window_ms)
+        state.auth_key = self.auth_key
+        state._ident_point = self._identity_point()
+        return state
+
     def auth_init(self) -> AuthRequest:
         """Start a handshake: draw a random point, mask it with the
         authentication key, and prove knowledge of its x-coordinate."""
@@ -138,14 +154,10 @@ class ChildState:
             curve.scalar_mul(params, t2, self.auth_key))
         if server_point.is_infinity:
             raise KeyMismatch("recovered server point is infinity")
-        ident_point = self._ident_point
-        if ident_point is None:
-            ident_point = self._ident_point = curve.hash_to_point(
-                params, self.ident)
         w = params.field_width
         k_scalar, key = derive_session_key(
             params,
-            ident_point.x.to_bytes(w, "big"),
+            self._identity_point().x.to_bytes(w, "big"),
             random_point.x.to_bytes(w, "big"),
             server_point.x.to_bytes(w, "big"))
         check = curve.scalar_mul(params, k_scalar + server_point.x,

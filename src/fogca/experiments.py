@@ -163,30 +163,50 @@ class DelayStats:
 
 class _QueuedServer:
     """FIFO single server: each arriving request waits for the queue,
-    then takes one deterministic service slot before being answered."""
+    then takes one deterministic service slot before being answered.
+
+    Waiting requests sit in a deque and only the head has a timer on the
+    network, pushed under the insertion number its request took on
+    arrival; completions strictly increase, so the network runs each
+    one exactly where a timer set on arrival would have run.  `decoded`
+    maps payload bytes to their message and is shared by the instances
+    of one CA: a retransmit is decoded once, a malformed payload every
+    time it is served."""
 
     def __init__(self, node_id: str, state: authority.AuthorityState,
-                 capacity_tps: float, profiles):
+                 capacity_tps: float, profiles,
+                 decoded: dict[bytes, wire.ProtocolMessage]):
         self.node_id = node_id
         self.state = state
         self.service_ms = max(1, round(1000.0 / capacity_tps))
         self.profiles = profiles
+        self.decoded = decoded
         self.busy_until = 0
         self.tasks = 0
+        self.waiting: deque[tuple[int, int, str, bytes]] = deque()
 
     def attach(self, net: Network) -> None:
         net.set_handler(self.node_id, self.on_delivery)
 
     def on_delivery(self, net: Network, event) -> None:
         self.tasks += 1
-        start = max(net.now, self.busy_until)
-        self.busy_until = start + self.service_ms
-        done = self.busy_until
-        net.call_at(done, lambda n, ev=event: self.process(n, ev))
+        done = self.busy_until = max(net.now, self.busy_until) + self.service_ms
+        ticket = net.ticket()
+        self.waiting.append((done, ticket, event.src, event.payload))
+        if len(self.waiting) == 1:
+            net.schedule(done, ticket, self.process)
 
-    def process(self, net: Network, event) -> None:
+    def process(self, net: Network) -> None:
+        _, _, src, payload = self.waiting.popleft()
+        if self.waiting:
+            done, ticket, _, _ = self.waiting[0]
+            net.schedule(done, ticket, self.process)
         try:
-            dest, reply = answer(self.state, self.profiles, event)
+            msg = self.decoded.get(payload)
+            if msg is None:
+                msg = self.decoded[payload] = wire.decode(payload,
+                                                          self.state.params)
+            dest, reply = answer(self.state, self.profiles, src, msg)
         except FogcaError:
             return  # refusals (replayed retransmits, duplicates) are silent
         net.send(self.node_id, dest, reply)
@@ -208,11 +228,9 @@ class _Device:
     scheduled times, retransmits the same bytes on timeout, and matches
     responses to transactions in per-server FIFO order."""
 
-    def __init__(self, base: ChildState, announcement, workload: WorkloadSpec,
-                 pick_server):
+    def __init__(self, base: ChildState, workload: WorkloadSpec, pick_server):
         self.base = base
         self.node_id = base.ident.decode()
-        self.announcement = announcement
         self.workload = workload
         self.pick_server = pick_server
         # transactions sent per (server, kind), in send order; those
@@ -264,9 +282,7 @@ class _Device:
             # not registered yet: hold the slot until registration lands
             self.deferred_auths += 1
             return
-        handshake = ChildState(base.ident, self.announcement, base.channel_key,
-                               base.rng, base.clock, base.freshness_window_ms)
-        handshake.auth_key = base.auth_key
+        handshake = base.handshake()
         payload = wire.encode(handshake.auth_init(), base.params)
         self.send_txn(net, _Txn("auth", dest, payload, handshake=handshake))
 
@@ -360,14 +376,17 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
         base = provision(store, announcement, master, clock, ident,
                          workload.freshness_window_ms)
         profiles[ident] = store.get(ident).profile
-        dev = _Device(base, announcement, workload, pick_server)
+        dev = _Device(base, workload, pick_server)
         dev.attach(net)
         devices.append(dev)
 
-    fog = _QueuedServer("fog-ca", state, workload.server_capacity, profiles)
+    decoded = {}  # one logical CA: both instances share decoded requests
+    fog = _QueuedServer("fog-ca", state, workload.server_capacity, profiles,
+                        decoded)
     cloud = _QueuedServer(
         "cloud-ca", state,
-        workload.server_capacity * profile.cloud_capacity_scale, profiles)
+        workload.server_capacity * profile.cloud_capacity_scale, profiles,
+        decoded)
     fog.attach(net)
     cloud.attach(net)
 

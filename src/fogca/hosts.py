@@ -2,6 +2,8 @@
 
 A host owns a protocol state (authority or child) and reacts to each
 delivered payload: decode, run the matching operation, send the reply.
+`answer` is the one authority dispatcher; it takes a decoded request, so
+a caller that serves the same bytes again can decode them once.
 Refusals never cross the wire; they are recorded as verdicts on the
 refusing side, which is what the attack scenarios assert on.
 
@@ -27,21 +29,22 @@ class Verdict:
     detail: str = ""
 
 
-def answer(state: AuthorityState, profiles, event: SimEvent) -> tuple[str, bytes]:
-    """Decode a request to the authority, run its operation and return
-    (destination node, encoded reply); every refusal raises FogcaError.
-    `profiles` holds the device reports sent with registrations."""
+def answer(state: AuthorityState, profiles, src: str,
+           msg: wire.ProtocolMessage) -> tuple[str, bytes]:
+    """Run the operation for a decoded request that node `src` sent to
+    the authority and return (destination node, encoded reply); every
+    refusal raises FogcaError.  `profiles` holds the device reports sent
+    with registrations."""
     params = state.params
-    msg = wire.decode(event.payload, params)
     if isinstance(msg, wire.RegistrationRequest):
         profile = profiles.get(msg.child_id)
         if profile is None:
             raise UnknownDevice(f"no device report for {msg.child_id!r}")
-        return event.src, wire.encode(state.register_child(msg, profile), params)
+        return src, wire.encode(state.register_child(msg, profile), params)
     if isinstance(msg, wire.AuthRequest):
-        return event.src, wire.encode(state.handle_auth_request(msg), params)
+        return src, wire.encode(state.handle_auth_request(msg), params)
     if isinstance(msg, wire.PeerInit):
-        target, relay = state.relay_peer_request(event.src.encode(), msg)
+        target, relay = state.relay_peer_request(src.encode(), msg)
         return target.decode(), wire.encode(relay, params)
     raise UnexpectedMessage(type(msg).__name__)
 
@@ -62,8 +65,9 @@ class AuthorityHost:
 
     def handle(self, net: Network, event: SimEvent) -> None:
         try:
-            net.send(self.node_id,
-                     *answer(self.state, self.reported_profiles, event))
+            msg = wire.decode(event.payload, self.state.params)
+            net.send(self.node_id, *answer(self.state, self.reported_profiles,
+                                           event.src, msg))
         except FogcaError as exc:
             self.verdicts.append(Verdict(net.now, type(exc).__name__, str(exc)))
 

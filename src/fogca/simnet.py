@@ -268,6 +268,12 @@ class Network:
         return "\n".join(e.json_line() for e in self.transcript())
 
     # ---- event loop -----------------------------------------------------------
+    #
+    # Heap entries are (at, insertion number, kind, data).  A timer's data
+    # is its callback; a hop's is (send event, payload, path, index of the
+    # next link), and the hop happens at the entry's time.  A SimEvent for
+    # the hop itself is built only where one is read: at delivery and on a
+    # link with an adversary.
 
     def _push(self, at: int, kind: str, data) -> None:
         self._seq += 1
@@ -281,32 +287,47 @@ class Network:
         self._uid += 1
         event = SimEvent(when, src, dst, payload, self._uid)
         self.accounting["sent"] += 1
-        self._push(when, "hop", (event, path, 0))
+        self._push(when, "hop", (event, payload, path, 0))
         return event
+
+    def ticket(self) -> int:
+        """Take the next insertion number now, for a timer scheduled
+        later: under it, the timer runs where a `call_at` made now would
+        have run it among events of the same time."""
+        self._seq += 1
+        return self._seq
+
+    def schedule(self, at: int, ticket: int, fn) -> None:
+        """Run fn(network) at virtual time `at`, ordered by `ticket` among
+        events of that time.  It must be scheduled before the loop passes
+        (at, ticket)."""
+        heapq.heappush(self._heap, (at, ticket, "timer", fn))
 
     def call_at(self, at: int, fn) -> None:
         """Run fn(network) at virtual time `at` (timers, retransmits)."""
-        self._push(at, "timer", fn)
+        self.schedule(at, self.ticket(), fn)
 
     def run_until(self, t: int | None = None) -> list[SimEvent]:
         """Process events up to and including time t (all events when t
         is None); returns the deliveries made during this call."""
         delivered: list[SimEvent] = []
-        while self._heap and (t is None or self._heap[0][0] <= t):
-            at, _, kind, data = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and (t is None or heap[0][0] <= t):
+            at, _, kind, data = heapq.heappop(heap)
             self.now = max(self.now, at)
             if kind == "timer":
                 data(self)
                 continue
-            event, path, idx = data  # every hop is queued at its event.at
-            if idx >= len(path):
-                delivered.append(event)
-                self.accounting["delivered"] += 1
-                handler = self.handlers.get(event.dst)
-                if handler is not None:
-                    handler(self, event)
+            event, payload, path, idx = data
+            if idx < len(path):
+                self._traverse(at, event, payload, path, idx)
                 continue
-            self._traverse(event, path[idx], path, idx)
+            arrived = SimEvent(at, event.src, event.dst, payload, event.uid)
+            delivered.append(arrived)
+            self.accounting["delivered"] += 1
+            handler = self.handlers.get(event.dst)
+            if handler is not None:
+                handler(self, arrived)
         if t is not None and t > self.now:
             self.now = t
         return delivered
@@ -314,63 +335,68 @@ class Network:
     def run(self) -> list[SimEvent]:
         return self.run_until(None)
 
-    def _traverse(self, event: SimEvent, link: LinkSpec, path, idx) -> None:
-        payload = event.payload
-        adversary = self.adversaries.get((link.src, link.dst))
-        if adversary is not None:
-            action = adversary.consult(event)
-            caps = adversary.policy.capabilities
-            if action is None:
-                if "eavesdrop" in caps:
-                    adversary.record(event, "observe")
-            elif isinstance(action, Drop):
-                adversary.record(event, "drop")
-                self.accounting["dropped_adversary"] += 1
-                return
-            elif isinstance(action, Delay):
-                adversary.record(event, f"delay+{action.ms}")
-                self._hop_forward(event, payload, link, path, idx, extra=action.ms)
-                return
-            elif isinstance(action, (Duplicate, Replay)):
-                label = ("duplicate" if isinstance(action, Duplicate)
-                         else f"replay+{action.delay_ms}")
-                adversary.record(event, label)
-                self._hop_forward(event, payload, link, path, idx)
-                self._uid += 1
-                copy = SimEvent(event.at + action.delay_ms, event.src,
-                                event.dst, payload, self._uid)
-                self.accounting["adversary_created"] += 1
-                self._push(copy.at, "hop", (copy, path, idx))
-                return
-            elif isinstance(action, Modify):
-                new_payload = action.transform(payload, adversary.decode(payload))
-                adversary.record(event, "modify", new_payload)
-                self._hop_forward(event, new_payload, link, path, idx)
-                return
-            elif isinstance(action, Inject):
-                adversary.record(event, "inject", action.payload)
-                self._hop_forward(event, payload, link, path, idx)
-                self._uid += 1
-                extra = SimEvent(event.at + action.delay_ms, event.src,
-                                 event.dst, action.payload, self._uid)
-                self.accounting["adversary_created"] += 1
-                self._push(extra.at, "hop", (extra, path, idx))
-                return
-            else:
-                raise TypeError(f"unknown adversary action {action!r}")
-        self._hop_forward(event, payload, link, path, idx)
+    def _traverse(self, at: int, event: SimEvent, payload: bytes, path,
+                  idx: int) -> None:
+        link = path[idx]
+        adversary = (self.adversaries.get((link.src, link.dst))
+                     if self.adversaries else None)
+        if adversary is None:
+            self._hop_forward(at, event, payload, path, idx)
+            return
+        hop = SimEvent(at, event.src, event.dst, payload, event.uid)
+        action = adversary.consult(hop)
+        if action is None:
+            if "eavesdrop" in adversary.policy.capabilities:
+                adversary.record(hop, "observe")
+        elif isinstance(action, Drop):
+            adversary.record(hop, "drop")
+            self.accounting["dropped_adversary"] += 1
+            return
+        elif isinstance(action, Delay):
+            adversary.record(hop, f"delay+{action.ms}")
+            self._hop_forward(at, event, payload, path, idx, extra=action.ms)
+            return
+        elif isinstance(action, (Duplicate, Replay)):
+            label = ("duplicate" if isinstance(action, Duplicate)
+                     else f"replay+{action.delay_ms}")
+            adversary.record(hop, label)
+            self._hop_forward(at, event, payload, path, idx)
+            self._push_copy(hop, payload, action.delay_ms, path, idx)
+            return
+        elif isinstance(action, Modify):
+            new_payload = action.transform(payload, adversary.decode(payload))
+            adversary.record(hop, "modify", new_payload)
+            self._hop_forward(at, event, new_payload, path, idx)
+            return
+        elif isinstance(action, Inject):
+            adversary.record(hop, "inject", action.payload)
+            self._hop_forward(at, event, payload, path, idx)
+            self._push_copy(hop, action.payload, action.delay_ms, path, idx)
+            return
+        else:
+            raise TypeError(f"unknown adversary action {action!r}")
+        self._hop_forward(at, event, payload, path, idx)
 
-    def _hop_forward(self, event: SimEvent, payload: bytes, link: LinkSpec,
-                     path, idx, extra: int = 0) -> None:
+    def _push_copy(self, hop: SimEvent, payload: bytes, delay_ms: int, path,
+                   idx: int) -> None:
+        """An adversary's copy of `hop`: a new message that crosses the
+        same link again `delay_ms` later."""
+        self._uid += 1
+        copy = SimEvent(hop.at + delay_ms, hop.src, hop.dst, payload,
+                        self._uid)
+        self.accounting["adversary_created"] += 1
+        self._push(copy.at, "hop", (copy, payload, path, idx))
+
+    def _hop_forward(self, at: int, event: SimEvent, payload: bytes, path,
+                     idx: int, extra: int = 0) -> None:
+        link = path[idx]
         if link.drop_probability and self.rng.random() < link.drop_probability:
             self.accounting["dropped_link"] += 1
             return
         latency = link.base_latency_ms + extra
         if link.jitter_ms:
             latency += self.rng.randint(0, link.jitter_ms)
-        nxt = SimEvent(event.at + latency, event.src, event.dst, payload,
-                       event.uid)
-        self._push(nxt.at, "hop", (nxt, path, idx + 1))
+        self._push(at + latency, "hop", (event, payload, path, idx + 1))
 
 
 class SimClock:

@@ -526,6 +526,25 @@ class TestIdentityPointCache:
         assert toy_rig.authority.registry[b"cam-01"].ident_point == point
         assert child._ident_point == point
 
+    def test_overlapping_handshakes_share_the_device_point(self, toy_rig,
+                                                            monkeypatch):
+        child, profile = toy_rig.provision(b"cam-01")
+        toy_rig.clock.advance(5)
+        child.install_auth_key(toy_rig.authority.register_child(
+            child.request_registration(), profile))
+        calls = count_h1_calls(monkeypatch)
+        requests = []
+        for _ in range(3):  # all in flight before the first answer
+            toy_rig.clock.advance(10)
+            handshake = child.handshake()
+            requests.append((handshake, handshake.auth_init()))
+        for handshake, req in requests:
+            resp = toy_rig.authority.handle_auth_request(req)
+            assert (handshake.auth_finish(resp)
+                    == toy_rig.authority.sessions[b"cam-01"][1])
+        assert calls == [b"cam-01"]
+        assert child.ca_session is None  # each handshake has its own
+
     @pytest.mark.parametrize("rig_name", ["toy_rig", "prod_rig"])
     def test_loaded_record_fills_its_point(self, rig_name, request,
                                            monkeypatch):

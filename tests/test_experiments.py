@@ -5,7 +5,7 @@ import pytest
 
 from fogca import authority, curve, wire
 from fogca import experiments as ex
-from fogca.errors import UnknownProfile
+from fogca.errors import UnknownDevice, UnknownProfile
 from fogca.simnet import Network, SimClock
 
 # small, fast workload for functional tests; the frozen default drives
@@ -88,6 +88,25 @@ class TestRunExperiment:
             cloud_utilization_pct=422.72727272727275, fog_utilization_pct=0.0,
             incomplete=0)
 
+    def test_saturated_cloud_120_run_pinned(self):
+        # the benchmark's placement-cloud120 experiment, recorded before
+        # the CA backlog left the event heap and decodes were memoized
+        stats = ex.run_experiment(
+            ex.placement("CloudOnly"),
+            replace(ex.DEFAULT_WORKLOAD, node_count=120),
+            seed=random.Random(2011).getrandbits(32))
+        assert stats == ex.DelayStats(
+            registration=ex.TxnStats(count=120, mean_ms=186897.01666666666,
+                                     p50_ms=138079.5,
+                                     p95_ms=517837.89999999997,
+                                     max_ms=562647.0),
+            auth=ex.TxnStats(count=1085, mean_ms=247939.63133640552,
+                             p50_ms=240815.0, p95_ms=552215.0,
+                             max_ms=597504.0),
+            retransmission_count=10767, cloud_tasks=12702, fog_tasks=0,
+            cloud_utilization_pct=1924.5454545454545, fog_utilization_pct=0.0,
+            incomplete=730)
+
     def test_seed_changes_routing(self):
         a = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=1)
         b = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=2)
@@ -108,21 +127,111 @@ class TestRunExperiment:
         assert stats.cloud_tasks >= 0 and stats.fog_tasks >= 0
 
 
+def _server_rig():
+    """fog-ca and cloud-ca, one CA sharing one decode memo, and a device
+    node `ghost` with no handler, 5 ms from each."""
+    net = Network(1)
+    net.add_node("fog-ca", tier="community", role="authority")
+    net.add_node("cloud-ca", tier="cloud", role="authority")
+    net.add_node("ghost", tier="thing", role="child")
+    net.connect_duplex("ghost", "fog-ca", 5)
+    net.connect_duplex("ghost", "cloud-ca", 5)
+    state, _ = authority.setup(curve.toy17(), random.Random(2),
+                               SimClock(net))
+    decoded = {}
+    fog = ex._QueuedServer("fog-ca", state, 500.0, {}, decoded)
+    cloud = ex._QueuedServer("cloud-ca", state, 500.0, {}, decoded)
+    fog.attach(net)
+    cloud.attach(net)
+    return net, state, fog, cloud
+
+
+def _log_serving(monkeypatch, net, log):
+    """Make the servers log ("served", child id, now) for each request
+    they serve, then refuse it."""
+    def fake_answer(state, profiles, src, msg):
+        log.append(("served", msg.child_id, net.now))
+        raise UnknownDevice("logged")
+
+    monkeypatch.setattr(ex, "answer", fake_answer)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Every payload handed to wire.decode, in order."""
+    calls = []
+    real = wire.decode
+
+    def counting(data, params=None):
+        calls.append(data)
+        return real(data, params)
+
+    monkeypatch.setattr(wire, "decode", counting)
+    return calls
+
+
 class TestQueuedServer:
     def test_unprovisioned_registration_refused_silently(self):
-        net = Network(1)
-        net.add_node("fog-ca", tier="community", role="authority")
-        net.add_node("ghost", tier="thing", role="child")
-        net.connect_duplex("ghost", "fog-ca", 5)
-        state, _ = authority.setup(curve.toy17(), random.Random(2),
-                                   SimClock(net))
-        server = ex._QueuedServer("fog-ca", state, 500.0, profiles={})
-        server.attach(net)
+        net, state, fog, _ = _server_rig()
         net.send("ghost", "fog-ca",
                  wire.encode(wire.RegistrationRequest(b"ghost")))
         delivered = net.run()
         assert [e.dst for e in delivered] == ["fog-ca"]
-        assert server.tasks == 1 and state.registry == {}
+        assert fog.tasks == 1 and state.registry == {}
+
+    def test_back_to_back_arrivals_complete_in_arrival_order(self, monkeypatch):
+        net, _, fog, _ = _server_rig()
+        served = []
+        _log_serving(monkeypatch, net, served)
+        for name in (b"a", b"b", b"c"):
+            net.send("ghost", "fog-ca",
+                     wire.encode(wire.RegistrationRequest(name)), at=0)
+        net.run()
+        assert fog.service_ms == 2
+        assert served == [("served", b"a", 7), ("served", b"b", 9),
+                          ("served", b"c", 11)]
+
+    def test_completion_and_timer_at_the_same_ms(self, monkeypatch):
+        # the order of a timer set on arrival: a timer scheduled before a
+        # request arrives runs before its completion at the same ms, one
+        # scheduled after the request arrived runs after it
+        net, _, _, _ = _server_rig()
+        order = []
+        _log_serving(monkeypatch, net, order)
+
+        def mark(name):
+            return lambda n: order.append((name, n.now))
+
+        net.call_at(7, mark("before-arrival"))
+        for name in (b"a", b"b"):
+            net.send("ghost", "fog-ca",
+                     wire.encode(wire.RegistrationRequest(name)), at=0)
+        net.call_at(6, lambda n: (n.call_at(7, mark("after-arrival-7")),
+                                  n.call_at(9, mark("after-arrival-9"))))
+        net.run()
+        assert order == [("before-arrival", 7), ("served", b"a", 7),
+                         ("after-arrival-7", 7), ("served", b"b", 9),
+                         ("after-arrival-9", 9)]
+
+    def test_retransmit_is_decoded_once_across_instances(self, decode_calls):
+        net, _, fog, cloud = _server_rig()
+        payload = wire.encode(wire.RegistrationRequest(b"ghost"))
+        net.send("ghost", "fog-ca", payload, at=0)
+        net.send("ghost", "cloud-ca", payload, at=10)
+        net.send("ghost", "fog-ca", payload, at=20)
+        net.run()
+        assert (fog.tasks, cloud.tasks) == (2, 1)
+        assert decode_calls == [payload]
+
+    def test_malformed_payload_refused_each_time(self, decode_calls):
+        net, state, fog, _ = _server_rig()
+        for at in (0, 10):
+            net.send("ghost", "fog-ca", b"\xff\x00junk", at=at)
+        delivered = net.run()
+        assert [e.dst for e in delivered] == ["fog-ca", "fog-ca"]
+        assert fog.tasks == 2 and fog.decoded == {}
+        assert decode_calls == [b"\xff\x00junk"] * 2
+        assert net.accounting["sent"] == 2 and state.registry == {}
 
 
 class TestSweep:

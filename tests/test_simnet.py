@@ -304,6 +304,25 @@ class TestAdversary:
         net.send("a", "b", b"x", at=0)
         assert [e.payload for e in net.run()] == [b"x!"]
 
+    def test_delay_then_modify_across_two_hops(self):
+        net = triangle()
+        net.attach_adversary(("a", "p"), AdversaryPolicy(
+            frozenset({"delay"}), [Rule(lambda e, m: True, Delay(10))]))
+        seen = []
+        net.attach_adversary(("p", "b"), AdversaryPolicy(
+            frozenset({"modify"}),
+            [Rule(lambda e, m: seen.append(e) is None,
+                  Modify(lambda raw, m: raw + b"!"))]))
+        sent = net.send("a", "b", b"x", at=0)
+        delivered = net.run()
+        # the second link sees the message as it arrives at the proxy
+        assert seen == [simnet.SimEvent(15, "a", "b", b"x", sent.uid)]
+        assert [(e.at, e.src, e.dst, e.payload, e.uid) for e in delivered] == [
+            (95, "a", "b", b"x!", sent.uid)]
+        assert [(e.at, e.src, e.dst, e.action, e.payload)
+                for e in net.transcript()] == [
+            (0, "a", "b", "delay+10", b"x"), (15, "a", "b", "modify", b"x!")]
+
     def test_inject_action(self):
         net = triangle()
         policy = AdversaryPolicy(
