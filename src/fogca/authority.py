@@ -13,7 +13,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import curve
-from .crypto import ManualClock, check_freshness, derive_session_key, open_box, seal
+from .crypto import (
+    DEFAULT_FRESHNESS_WINDOW_MS,
+    ManualClock,
+    check_freshness,
+    derive_session_key,
+    open_box,
+    seal,
+)
 from .errors import (
     AuthFailure,
     BadProof,
@@ -45,8 +52,6 @@ from .wire import (
     RegistrationRequest,
     RegistrationResponse,
 )
-
-DEFAULT_FRESHNESS_WINDOW_MS = 2000
 
 REVOKE_REASONS = ("compromise", "expiry", "policy")
 

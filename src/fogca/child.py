@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import curve
 from .crypto import (
+    DEFAULT_FRESHNESS_WINDOW_MS,
     ManualClock,
     check_freshness,
     derive_session_key,
@@ -49,13 +50,12 @@ class ChildState:
 
     def __init__(self, ident: bytes, announcement: Announcement,
                  channel_key: bytes, rng, clock=None,
-                 freshness_window_ms: int = 2000):
+                 freshness_window_ms: int = DEFAULT_FRESHNESS_WINDOW_MS):
         if not 1 <= len(ident) <= 64:
             raise ValueError("identity must be 1-64 bytes")
         self.ident = ident
         self.announcement = announcement
         self.params = announcement.params
-        self.authority_key = announcement.public_key
         self.channel_key = channel_key
         self.rng = rng
         self.clock = clock if clock is not None else ManualClock()

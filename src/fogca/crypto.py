@@ -104,6 +104,9 @@ def derive_session_key(params: CurveParams, x_q: bytes, x_c: bytes,
     return k_scalar, key
 
 
+DEFAULT_FRESHNESS_WINDOW_MS = 2000
+
+
 def check_freshness(sent_ms: int, now_ms: int, window_ms: int) -> bool:
     """Accept iff the message is not from the future and not older than
     the window."""

@@ -333,15 +333,15 @@ class _Device:
 
 def _build_network(profile: LinkProfile, node_ids, seed: int) -> Network:
     net = Network(seed)
-    net.add_node("cloud-ca", tier="cloud", role="authority")
-    net.add_node("fog-ca", tier="community", role="authority")
-    net.add_node("gw", tier="street", role="proxy")
+    net.add_node("cloud-ca", role="authority")
+    net.add_node("fog-ca", role="authority")
+    net.add_node("gw", role="proxy")
     net.connect_duplex("gw", "fog-ca", 0, profile.jitter_ms,
                        profile.drop_probability)
     net.connect_duplex("gw", "cloud-ca", profile.fog_cloud_ms,
                        profile.jitter_ms, profile.drop_probability)
     for node_id in node_ids:
-        net.add_node(node_id, tier="thing", role="child")
+        net.add_node(node_id, role="child")
         net.connect_duplex(node_id, "gw", profile.thing_fog_ms,
                            profile.jitter_ms, profile.drop_probability)
     return net
@@ -414,6 +414,9 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
             net.call_at(at, lambda n_, d=dev, s=dest: d.start_auth(n_, s))
 
     net.run()
+    # the handlers close a cycle (net -> servers -> CA state -> clock ->
+    # net); dropping them frees the run at return, not at a full gc pass
+    net.handlers.clear()
 
     reg_delays, auth_delays, incomplete = [], [], 0
     retransmissions = 0

@@ -89,15 +89,15 @@ def build_rig(seed: int, params: curve.CurveParams,
     store = AffinityStore()
     state, announcement = authority.setup(
         params, random.Random(master.getrandbits(64)), clock, store)
-    net.add_node("custodian", tier="community", role="authority")
-    net.add_node("gw", tier="street", role="proxy")
+    net.add_node("custodian", role="authority")
+    net.add_node("gw", role="proxy")
     net.connect_duplex("gw", "custodian", base_latency_ms=0)
     host = AuthorityHost("custodian", state)
     host.attach(net)
     children: dict[bytes, ChildHost] = {}
     for ident in child_ids:
         node_id = ident.decode()
-        net.add_node(node_id, tier="thing", role="child")
+        net.add_node(node_id, role="child")
         net.connect_duplex(node_id, "gw", base_latency_ms=LINK_MS)
         child_state = provision(store, announcement, master, clock, ident)
         host.reported_profiles[ident] = store.get(ident).profile
@@ -200,7 +200,7 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
 
     master = random.Random(seed ^ 0x5EED)
     net = rig.net
-    net.add_node("mallory", tier="thing", role="child")
+    net.add_node("mallory", role="child")
     net.connect_duplex("mallory", "gw", base_latency_ms=LINK_MS)
     # mallory's own device, provisioned with no authority
     forged_state = provision(AffinityStore(), rig.announcement, master,

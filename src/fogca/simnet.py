@@ -2,9 +2,10 @@
 man-in-the-middle adversary.
 
 Time is virtual milliseconds.  Events are processed in (time, insertion
-order), so a given seed and script always replays byte-for-byte.  Links
-are directed; a route is either a direct link or a chain through nodes
-with the proxy role.  An adversary attached to a link sees every
+order), so a given seed and script always replays byte-for-byte.  Each
+delivery goes to its destination's handler and is kept nowhere else.
+Links are directed; a route is either a direct link or a chain through
+nodes with the proxy role.  An adversary attached to a link sees every
 traversal and may, within its granted capabilities, observe, drop,
 delay, duplicate, replay, modify, or inject traffic. It holds no
 keys, so sealed payloads stay opaque to it.
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from . import wire
 from .errors import DecodeError, NoRoute, UnknownLink, UnknownNode
 
-TIERS = ("cloud", "regional", "community", "street", "home", "thing")
 ROLES = ("authority", "child", "proxy")
 
 CAPABILITIES = ("eavesdrop", "replay", "inject", "modify", "delay", "drop",
@@ -35,20 +35,6 @@ class SimEvent:
     src: str
     dst: str
     payload: bytes
-    uid: int = field(default=0, compare=False)
-
-
-@dataclass
-class SimNode:
-    node_id: str
-    tier: str = "thing"
-    role: str = "child"
-
-    def __post_init__(self):
-        if self.tier not in TIERS:
-            raise ValueError(f"unknown tier {self.tier!r}")
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -179,14 +165,13 @@ class Network:
 
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
-        self.nodes: dict[str, SimNode] = {}
+        self.nodes: dict[str, str] = {}  # node id -> role
         self._adjacent: dict[str, dict[str, LinkSpec]] = {}  # src -> dst -> link
         self._routes: dict[tuple[str, str], tuple[LinkSpec, ...]] = {}
         self.adversaries: dict[tuple[str, str], _Adversary] = {}
         self.handlers: dict[str, object] = {}
         self.now = 0
         self._seq = 0
-        self._uid = 0
         self._heap: list = []
         self.accounting: dict[str, int] = {
             "sent": 0, "adversary_created": 0, "delivered": 0,
@@ -194,12 +179,11 @@ class Network:
 
     # ---- topology ----------------------------------------------------------
 
-    def add_node(self, node_id: str, tier: str = "thing",
-                 role: str = "child") -> SimNode:
-        node = SimNode(node_id, tier, role)
-        self.nodes[node_id] = node
+    def add_node(self, node_id: str, role: str = "child") -> None:
+        if role not in ROLES:
+            raise ValueError(f"unknown role {role!r}")
+        self.nodes[node_id] = role
         self._routes.clear()  # a re-added id may gain or lose the proxy role
-        return node
 
     def connect(self, link: LinkSpec) -> None:
         """Add a directed link; reconnecting an existing pair replaces
@@ -239,7 +223,7 @@ class Network:
                     continue
                 if v == dst:
                     return path + (out[v],)
-                if self.nodes[v].role == "proxy":
+                if self.nodes[v] == "proxy":
                     seen.add(v)
                     frontier.append((v, path + (out[v],)))
         raise NoRoute(f"no path from {src!r} to {dst!r}")
@@ -270,25 +254,22 @@ class Network:
     # ---- event loop -----------------------------------------------------------
     #
     # Heap entries are (at, insertion number, kind, data).  A timer's data
-    # is its callback; a hop's is (send event, payload, path, index of the
-    # next link), and the hop happens at the entry's time.  A SimEvent for
-    # the hop itself is built only where one is read: at delivery and on a
-    # link with an adversary.
+    # is its callback; a hop's is (src, dst, payload, path, index of the
+    # next link), and the hop happens at the entry's time.  A SimEvent is
+    # built only where one is read: at delivery and on a link with an
+    # adversary.
 
     def _push(self, at: int, kind: str, data) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, kind, data))
 
     def send(self, src: str, dst: str, payload: bytes,
-             at: int | None = None) -> SimEvent:
-        """Schedule a payload along the route; returns the send event."""
+             at: int | None = None) -> None:
+        """Schedule a payload along the route."""
         when = self.now if at is None else at
         path = self.route(src, dst)
-        self._uid += 1
-        event = SimEvent(when, src, dst, payload, self._uid)
         self.accounting["sent"] += 1
-        self._push(when, "hop", (event, payload, path, 0))
-        return event
+        self._push(when, "hop", (src, dst, payload, path, 0))
 
     def ticket(self) -> int:
         """Take the next insertion number now, for a timer scheduled
@@ -307,10 +288,9 @@ class Network:
         """Run fn(network) at virtual time `at` (timers, retransmits)."""
         self.schedule(at, self.ticket(), fn)
 
-    def run_until(self, t: int | None = None) -> list[SimEvent]:
+    def run_until(self, t: int | None = None) -> None:
         """Process events up to and including time t (all events when t
-        is None); returns the deliveries made during this call."""
-        delivered: list[SimEvent] = []
+        is None); each delivery runs its destination's handler, if any."""
         heap = self._heap
         while heap and (t is None or heap[0][0] <= t):
             at, _, kind, data = heapq.heappop(heap)
@@ -318,32 +298,29 @@ class Network:
             if kind == "timer":
                 data(self)
                 continue
-            event, payload, path, idx = data
+            src, dst, payload, path, idx = data
             if idx < len(path):
-                self._traverse(at, event, payload, path, idx)
+                self._traverse(at, src, dst, payload, path, idx)
                 continue
-            arrived = SimEvent(at, event.src, event.dst, payload, event.uid)
-            delivered.append(arrived)
             self.accounting["delivered"] += 1
-            handler = self.handlers.get(event.dst)
+            handler = self.handlers.get(dst)
             if handler is not None:
-                handler(self, arrived)
+                handler(self, SimEvent(at, src, dst, payload))
         if t is not None and t > self.now:
             self.now = t
-        return delivered
 
-    def run(self) -> list[SimEvent]:
-        return self.run_until(None)
+    def run(self) -> None:
+        self.run_until(None)
 
-    def _traverse(self, at: int, event: SimEvent, payload: bytes, path,
+    def _traverse(self, at: int, src: str, dst: str, payload: bytes, path,
                   idx: int) -> None:
         link = path[idx]
         adversary = (self.adversaries.get((link.src, link.dst))
                      if self.adversaries else None)
         if adversary is None:
-            self._hop_forward(at, event, payload, path, idx)
+            self._hop_forward(at, src, dst, payload, path, idx)
             return
-        hop = SimEvent(at, event.src, event.dst, payload, event.uid)
+        hop = SimEvent(at, src, dst, payload)
         action = adversary.consult(hop)
         if action is None:
             if "eavesdrop" in adversary.policy.capabilities:
@@ -354,40 +331,38 @@ class Network:
             return
         elif isinstance(action, Delay):
             adversary.record(hop, f"delay+{action.ms}")
-            self._hop_forward(at, event, payload, path, idx, extra=action.ms)
+            self._hop_forward(at, src, dst, payload, path, idx, extra=action.ms)
             return
         elif isinstance(action, (Duplicate, Replay)):
             label = ("duplicate" if isinstance(action, Duplicate)
                      else f"replay+{action.delay_ms}")
             adversary.record(hop, label)
-            self._hop_forward(at, event, payload, path, idx)
+            self._hop_forward(at, src, dst, payload, path, idx)
             self._push_copy(hop, payload, action.delay_ms, path, idx)
             return
         elif isinstance(action, Modify):
             new_payload = action.transform(payload, adversary.decode(payload))
             adversary.record(hop, "modify", new_payload)
-            self._hop_forward(at, event, new_payload, path, idx)
+            self._hop_forward(at, src, dst, new_payload, path, idx)
             return
         elif isinstance(action, Inject):
             adversary.record(hop, "inject", action.payload)
-            self._hop_forward(at, event, payload, path, idx)
+            self._hop_forward(at, src, dst, payload, path, idx)
             self._push_copy(hop, action.payload, action.delay_ms, path, idx)
             return
         else:
             raise TypeError(f"unknown adversary action {action!r}")
-        self._hop_forward(at, event, payload, path, idx)
+        self._hop_forward(at, src, dst, payload, path, idx)
 
     def _push_copy(self, hop: SimEvent, payload: bytes, delay_ms: int, path,
                    idx: int) -> None:
         """An adversary's copy of `hop`: a new message that crosses the
         same link again `delay_ms` later."""
-        self._uid += 1
-        copy = SimEvent(hop.at + delay_ms, hop.src, hop.dst, payload,
-                        self._uid)
         self.accounting["adversary_created"] += 1
-        self._push(copy.at, "hop", (copy, payload, path, idx))
+        self._push(hop.at + delay_ms, "hop",
+                   (hop.src, hop.dst, payload, path, idx))
 
-    def _hop_forward(self, at: int, event: SimEvent, payload: bytes, path,
+    def _hop_forward(self, at: int, src: str, dst: str, payload: bytes, path,
                      idx: int, extra: int = 0) -> None:
         link = path[idx]
         if link.drop_probability and self.rng.random() < link.drop_probability:
@@ -396,7 +371,7 @@ class Network:
         latency = link.base_latency_ms + extra
         if link.jitter_ms:
             latency += self.rng.randint(0, link.jitter_ms)
-        self._push(at + latency, "hop", (event, payload, path, idx + 1))
+        self._push(at + latency, "hop", (src, dst, payload, path, idx + 1))
 
 
 class SimClock:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -67,6 +69,25 @@ class TestRunExperiment:
         assert stats.auth.count > 0
         assert stats.incomplete == 0
 
+    def test_finished_run_is_freed_without_gc(self, monkeypatch):
+        # a run left as cyclic garbage lives until a full collection, so
+        # back-to-back runs would hold several networks at once
+        built = []
+        real = ex._build_network
+
+        def keep_weakref(*args):
+            net = real(*args)
+            built.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(ex, "_build_network", keep_weakref)
+        gc.disable()
+        try:
+            ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=3)
+            assert built[0]() is None
+        finally:
+            gc.enable()
+
     def test_deterministic_per_seed(self):
         a = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=9)
         b = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=9)
@@ -131,9 +152,9 @@ def _server_rig():
     """fog-ca and cloud-ca, one CA sharing one decode memo, and a device
     node `ghost` with no handler, 5 ms from each."""
     net = Network(1)
-    net.add_node("fog-ca", tier="community", role="authority")
-    net.add_node("cloud-ca", tier="cloud", role="authority")
-    net.add_node("ghost", tier="thing", role="child")
+    net.add_node("fog-ca", role="authority")
+    net.add_node("cloud-ca", role="authority")
+    net.add_node("ghost", role="child")
     net.connect_duplex("ghost", "fog-ca", 5)
     net.connect_duplex("ghost", "cloud-ca", 5)
     state, _ = authority.setup(curve.toy17(), random.Random(2),
@@ -144,6 +165,13 @@ def _server_rig():
     fog.attach(net)
     cloud.attach(net)
     return net, state, fog, cloud
+
+
+def _record_ghost(net):
+    """Give `ghost` a handler that keeps what is delivered to it."""
+    delivered = []
+    net.set_handler("ghost", lambda n, e: delivered.append(e))
+    return delivered
 
 
 def _log_serving(monkeypatch, net, log):
@@ -173,10 +201,11 @@ def decode_calls(monkeypatch):
 class TestQueuedServer:
     def test_unprovisioned_registration_refused_silently(self):
         net, state, fog, _ = _server_rig()
+        to_ghost = _record_ghost(net)
         net.send("ghost", "fog-ca",
                  wire.encode(wire.RegistrationRequest(b"ghost")))
-        delivered = net.run()
-        assert [e.dst for e in delivered] == ["fog-ca"]
+        net.run()
+        assert to_ghost == [] and net.accounting["delivered"] == 1
         assert fog.tasks == 1 and state.registry == {}
 
     def test_back_to_back_arrivals_complete_in_arrival_order(self, monkeypatch):
@@ -225,10 +254,11 @@ class TestQueuedServer:
 
     def test_malformed_payload_refused_each_time(self, decode_calls):
         net, state, fog, _ = _server_rig()
+        to_ghost = _record_ghost(net)
         for at in (0, 10):
             net.send("ghost", "fog-ca", b"\xff\x00junk", at=at)
-        delivered = net.run()
-        assert [e.dst for e in delivered] == ["fog-ca", "fog-ca"]
+        net.run()
+        assert to_ghost == [] and net.accounting["delivered"] == 2
         assert fog.tasks == 2 and fog.decoded == {}
         assert decode_calls == [b"\xff\x00junk"] * 2
         assert net.accounting["sent"] == 2 and state.registry == {}

@@ -21,25 +21,43 @@ from fogca.simnet import (
 
 def triangle(seed=0, jitter=0, drop=0.0):
     net = Network(seed)
-    net.add_node("a", tier="thing", role="child")
-    net.add_node("p", tier="street", role="proxy")
-    net.add_node("b", tier="community", role="authority")
+    net.add_node("a", role="child")
+    net.add_node("p", role="proxy")
+    net.add_node("b", role="authority")
     net.connect_duplex("a", "p", 5, jitter, drop)
     net.connect_duplex("p", "b", 80, jitter, drop)
     return net
 
 
+def record_deliveries(net):
+    """Give every node a handler that appends each delivery to the
+    returned list, in delivery order."""
+    delivered = []
+    for node_id in net.nodes:
+        net.set_handler(node_id, lambda n, e: delivered.append(e))
+    return delivered
+
+
 class TestTopology:
     def test_direct_link_latency(self):
         net = triangle()
+        deliveries = record_deliveries(net)
         net.send("a", "p", b"hi", at=0)
-        deliveries = net.run()
+        net.run()
         assert [(e.at, e.payload) for e in deliveries] == [(5, b"hi")]
 
     def test_multi_hop_latency_sums(self):
         net = triangle()
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"hi", at=0)
-        assert [e.at for e in net.run()] == [85]
+        net.run()
+        assert [e.at for e in deliveries] == [85]
+
+    def test_unknown_role_rejected(self):
+        net = Network(0)
+        with pytest.raises(ValueError):
+            net.add_node("x", role="bogus")
+        assert "x" not in net.nodes
 
     def test_route_needs_proxy(self):
         net = Network(0)
@@ -62,8 +80,10 @@ class TestTopology:
     def test_reconnect_replaces_spec(self):
         net = triangle()
         net.connect(LinkSpec("a", "p", 50))
+        deliveries = record_deliveries(net)
         net.send("a", "p", b"hi", at=0)
-        assert [e.at for e in net.run()] == [50]
+        net.run()
+        assert [e.at for e in deliveries] == [50]
 
     def test_link_validation(self):
         with pytest.raises(ValueError):
@@ -73,22 +93,29 @@ class TestTopology:
 
     def test_drop_probability_one(self):
         net = triangle(drop=1.0)
+        deliveries = record_deliveries(net)
         net.send("a", "p", b"hi")
-        assert net.run() == []
+        net.run()
+        assert deliveries == []
         assert net.accounting["dropped_link"] == 1
 
     def test_fifo_order_without_jitter(self):
         net = triangle()
+        deliveries = record_deliveries(net)
         for i in range(10):
             net.send("a", "b", bytes([i]), at=0)
-        payloads = [e.payload for e in net.run()]
+        net.run()
+        payloads = [e.payload for e in deliveries]
         assert payloads == [bytes([i]) for i in range(10)]
 
     def test_run_until_boundary(self):
         net = triangle()
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        assert net.run_until(84) == []
-        assert [e.at for e in net.run_until(85)] == [85]
+        net.run_until(84)
+        assert deliveries == []
+        net.run_until(85)
+        assert [e.at for e in deliveries] == [85]
 
     def test_call_at_timers(self):
         net = triangle()
@@ -173,7 +200,7 @@ class TestRouteMemo:
         net.connect_duplex("relay", "b", 1)
         with pytest.raises(NoRoute):
             net.route("a", "b")
-        net.add_node("relay", tier="street", role="proxy")
+        net.add_node("relay", role="proxy")
         assert [(link.src, link.dst) for link in net.route("a", "b")] == [
             ("a", "relay"), ("relay", "b")]
         net.add_node("relay", role="child")
@@ -218,9 +245,11 @@ class TestDeterminism:
         net = triangle(seed=seed, jitter=3, drop=0.1)
         policy = AdversaryPolicy(frozenset({"eavesdrop"}))
         net.attach_adversary(("a", "p"), policy)
+        delivered = record_deliveries(net)
         for i in range(30):
             net.send("a", "b", bytes([i]), at=i)
-        deliveries = tuple((e.at, e.payload) for e in net.run())
+        net.run()
+        deliveries = tuple((e.at, e.payload) for e in delivered)
         return (net.transcript_jsonl(), deliveries,
                 tuple(sorted(net.accounting.items())))
 
@@ -247,8 +276,10 @@ class TestAdversary:
     def test_eavesdrop_records_but_delivers(self):
         net = triangle()
         net.attach_adversary(("a", "p"), AdversaryPolicy(frozenset({"eavesdrop"})))
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"secret", at=0)
-        assert [e.at for e in net.run()] == [85]
+        net.run()
+        assert [e.at for e in deliveries] == [85]
         entries = net.transcript()
         assert len(entries) == 1 and entries[0].action == "observe"
         assert entries[0].payload == b"secret"
@@ -265,8 +296,10 @@ class TestAdversary:
         policy = AdversaryPolicy(frozenset({"drop"}),
                                  [Rule(lambda e, m: True, Drop())])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        assert net.run() == []
+        net.run()
+        assert deliveries == []
         assert net.accounting["dropped_adversary"] == 1
 
     def test_delay_action(self):
@@ -274,16 +307,19 @@ class TestAdversary:
         policy = AdversaryPolicy(frozenset({"delay"}),
                                  [Rule(lambda e, m: True, Delay(100))])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        assert [e.at for e in net.run()] == [185]
+        net.run()
+        assert [e.at for e in deliveries] == [185]
 
     def test_duplicate_action(self):
         net = triangle()
         policy = AdversaryPolicy(frozenset({"duplicate"}),
                                  [Rule(lambda e, m: True, Duplicate())])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        deliveries = net.run()
+        net.run()
         assert len(deliveries) == 2
         assert {e.payload for e in deliveries} == {b"x"}
 
@@ -292,8 +328,10 @@ class TestAdversary:
         policy = AdversaryPolicy(frozenset({"replay"}),
                                  [Rule(lambda e, m: True, Replay(500))])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        assert [e.at for e in net.run()] == [85, 585]
+        net.run()
+        assert [e.at for e in deliveries] == [85, 585]
 
     def test_modify_action(self):
         net = triangle()
@@ -301,8 +339,10 @@ class TestAdversary:
             frozenset({"modify"}),
             [Rule(lambda e, m: True, Modify(lambda raw, m: raw + b"!"))])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        assert [e.payload for e in net.run()] == [b"x!"]
+        net.run()
+        assert [e.payload for e in deliveries] == [b"x!"]
 
     def test_delay_then_modify_across_two_hops(self):
         net = triangle()
@@ -313,12 +353,13 @@ class TestAdversary:
             frozenset({"modify"}),
             [Rule(lambda e, m: seen.append(e) is None,
                   Modify(lambda raw, m: raw + b"!"))]))
-        sent = net.send("a", "b", b"x", at=0)
-        delivered = net.run()
+        delivered = record_deliveries(net)
+        net.send("a", "b", b"x", at=0)
+        net.run()
         # the second link sees the message as it arrives at the proxy
-        assert seen == [simnet.SimEvent(15, "a", "b", b"x", sent.uid)]
-        assert [(e.at, e.src, e.dst, e.payload, e.uid) for e in delivered] == [
-            (95, "a", "b", b"x!", sent.uid)]
+        assert seen == [simnet.SimEvent(15, "a", "b", b"x")]
+        assert [(e.at, e.src, e.dst, e.payload) for e in delivered] == [
+            (95, "a", "b", b"x!")]
         assert [(e.at, e.src, e.dst, e.action, e.payload)
                 for e in net.transcript()] == [
             (0, "a", "b", "delay+10", b"x"), (15, "a", "b", "modify", b"x!")]
@@ -329,8 +370,9 @@ class TestAdversary:
             frozenset({"inject"}),
             [Rule(lambda e, m: True, Inject(b"forged", delay_ms=10))])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"x", at=0)
-        deliveries = net.run()
+        net.run()
         assert [e.payload for e in deliveries] == [b"x", b"forged"]
 
     def test_rule_fires_once_by_default(self):
@@ -338,9 +380,11 @@ class TestAdversary:
         policy = AdversaryPolicy(frozenset({"drop", "eavesdrop"}),
                                  [Rule(lambda e, m: True, Drop())])
         net.attach_adversary(("a", "p"), policy)
+        deliveries = record_deliveries(net)
         net.send("a", "b", b"first", at=0)
         net.send("a", "b", b"second", at=1)
-        assert [e.payload for e in net.run()] == [b"second"]
+        net.run()
+        assert [e.payload for e in deliveries] == [b"second"]
 
     def test_conservation_accounting(self):
         net = triangle(seed=9, drop=0.2)
