@@ -241,6 +241,7 @@ class AuthorityState:
         sender = self.sessions.get(from_id)
         if sender is None:
             raise NoSession(f"no session with {from_id!r}")
+        self._refuse_if_unusable(from_id, self.clock.now())
         target = open_box(sender[1], msg.peer_box)
         proposed = open_box(sender[1], msg.key_box)
         if not 1 <= len(target) <= 64:
@@ -270,9 +271,9 @@ class AuthorityState:
         self.sessions.pop(child_id, None)
         return entry
 
-    def purge_expired(self, now_ms: int | None = None) -> int:
+    def purge_expired(self) -> int:
         """Drop expired short-lived registrations, adding CRL entries."""
-        now = self.clock.now() if now_ms is None else now_ms
+        now = self.clock.now()
         gone = [cid for cid, rec in self.registry.items() if rec.expired(now)]
         for cid in gone:
             self.registry.pop(cid)

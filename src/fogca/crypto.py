@@ -2,8 +2,8 @@
 
 Session keys are 32 raw bytes, nonces 16 bytes, timestamps integer
 milliseconds of simulated time.  Sealing is AES-256-GCM from the
-`cryptography` package: a 12-byte cipher nonce and a 16-byte tag, which
-is exactly the SealedBox layout the wire format carries.
+`cryptography` package: a 12-byte cipher nonce and a 16-byte tag; the
+wire module owns the byte layout a SealedBox travels in.
 
 All randomness is drawn from an injected `random.Random` so every
 simulation and attack script replays deterministically from its seed.
@@ -18,7 +18,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .curve import H3_TAG, CurveParams, hash_to_scalar
-from .errors import AuthFailure, DecodeError, WidthMismatch
+from .errors import AuthFailure, WidthMismatch
 
 KEY_LEN = 32
 NONCE_LEN = 16
@@ -48,25 +48,6 @@ class SealedBox:
     nonce: bytes
     ciphertext: bytes
     tag: bytes
-
-    def to_bytes(self) -> bytes:
-        # nonce || 4-byte BE length || ciphertext || tag
-        return (self.nonce + len(self.ciphertext).to_bytes(4, "big")
-                + self.ciphertext + self.tag)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SealedBox":
-        if len(data) < BOX_NONCE_LEN + 4 + TAG_LEN:
-            raise DecodeError("sealed box truncated")
-        nonce = data[:BOX_NONCE_LEN]
-        clen = int.from_bytes(data[BOX_NONCE_LEN:BOX_NONCE_LEN + 4], "big")
-        body = data[BOX_NONCE_LEN + 4:]
-        if len(body) != clen + TAG_LEN:
-            raise DecodeError("sealed box length mismatch")
-        return cls(nonce, body[:clen], body[clen:])
-
-    def wire_len(self) -> int:
-        return BOX_NONCE_LEN + 4 + len(self.ciphertext) + TAG_LEN
 
 
 def seal(key: bytes, plaintext: bytes, rng) -> SealedBox:

@@ -14,8 +14,7 @@ immutable; the point at infinity is the module constant INFINITY.
 
 Also here: the three hash families used by the protocols (hash to a
 curve point, hash to a nonzero scalar under a domain tag), brute-force
-oracles for small curves, and the fixed byte encodings for points and
-scalars.
+oracles for small curves, and the fixed byte encoding for points.
 """
 
 from __future__ import annotations
@@ -35,14 +34,10 @@ from .errors import (
     OracleRefused,
 )
 
+# domain tags: together they fix the three hash functions the protocols use
 H1_TAG = b"fogca.h1.point"
 H2_TAG = b"fogca.h2.timestamp"
 H3_TAG = b"fogca.h3.sessionkey"
-
-# hash identifiers broadcast in the announcement
-H1_ID = "h1/sha256/try-increment"
-H2_ID = "h2/sha256"
-H3_ID = "h3/sha256"
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -487,21 +482,6 @@ def decode_point(params: CurveParams, data: bytes) -> CurvePoint:
     if not is_on_curve(params, pt):
         raise DecodeError("point not on curve")
     return pt
-
-
-def encode_scalar(params: CurveParams, s: int) -> bytes:
-    if not 0 <= s < params.order_n:
-        raise ValueError("scalar out of range")
-    return s.to_bytes(params.scalar_width, "big")
-
-
-def decode_scalar(params: CurveParams, data: bytes) -> int:
-    if len(data) != params.scalar_width:
-        raise DecodeError("bad scalar width")
-    s = int.from_bytes(data, "big")
-    if s >= params.order_n:
-        raise DecodeError("non-canonical scalar (>= n)")
-    return s
 
 
 def random_scalar(params: CurveParams, rng) -> int:

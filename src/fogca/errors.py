@@ -2,8 +2,7 @@
 
 Every refusal a protocol party can issue is a distinct class so tests and
 scenario harnesses can assert on the exact verdict.  All of them derive
-from FogcaError; refusals that terminate a protocol run derive from
-Refusal.
+directly from FogcaError, the one base that callers catch.
 """
 
 
@@ -45,15 +44,11 @@ class AuthFailure(FogcaError):
 
 # ---- protocol refusals ---------------------------------------------------
 
-class Refusal(FogcaError):
-    """A party refused to continue the protocol."""
-
-
-class UnknownDevice(Refusal):
+class UnknownDevice(FogcaError):
     """No affinity record exists for this identity."""
 
 
-class IntegrityMismatch(Refusal):
+class IntegrityMismatch(FogcaError):
     """Reported device profile does not match the affinity baseline."""
 
     def __init__(self, diff=(), countermeasure=None):
@@ -62,71 +57,71 @@ class IntegrityMismatch(Refusal):
         self.countermeasure = countermeasure
 
 
-class DeviceUntrusted(Refusal):
+class DeviceUntrusted(FogcaError):
     """Device is quarantined or blacklisted and may not run protocols."""
 
 
-class DuplicateRegistration(Refusal):
+class DuplicateRegistration(FogcaError):
     """Identity already holds a live registration."""
 
 
-class NotRegistered(Refusal):
+class NotRegistered(FogcaError):
     """Child has no authentication key installed."""
 
 
-class StaleTimestamp(Refusal):
+class StaleTimestamp(FogcaError):
     """Message timestamp is outside the freshness window."""
 
 
-class ReplayDetected(Refusal):
+class ReplayDetected(FogcaError):
     """Identical (identity, timestamp) pair was already accepted."""
 
 
-class BadProof(Refusal):
+class BadProof(FogcaError):
     """The x-coordinate check failed: wrong or forged authentication key."""
 
 
-class Revoked(Refusal):
+class Revoked(FogcaError):
     """Identity is on the revocation list."""
 
 
-class Expired(Refusal):
+class Expired(FogcaError):
     """Short-lived registration has passed its lifetime."""
 
 
-class KeyMismatch(Refusal):
+class KeyMismatch(FogcaError):
     """Session-key confirmation value does not verify."""
 
 
-class ConfirmationFailure(Refusal):
+class ConfirmationFailure(FogcaError):
     """The key-confirmation round after registration failed."""
 
 
-class NoSession(Refusal):
+class NoSession(FogcaError):
     """No live session key exists for the requested identity."""
 
 
-class NoCaSession(Refusal):
+class NoCaSession(FogcaError):
     """Child holds no session key with the authority."""
 
 
-class TargetRevoked(Refusal):
+class TargetRevoked(FogcaError):
     """Peer-exchange target identity is revoked."""
 
 
-class IdentityMismatch(Refusal):
+class IdentityMismatch(FogcaError):
     """Decrypted peer identity differs from the intended peer."""
 
 
-class NonceMismatch(Refusal):
+class NonceMismatch(FogcaError):
     """Returned challenge nonce does not match the stored one."""
 
 
-class NoPendingChallenge(Refusal):
+class NoPendingChallenge(FogcaError):
     """No outstanding challenge exists for this peer (single-use)."""
 
 
-class UnexpectedMessage(Refusal):
+class UnexpectedMessage(FogcaError):
     """A decoded message of a type this party does not answer."""
 
 

@@ -444,11 +444,11 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
 
 
 def sweep_nodes(setting: PlacementSetting, counts, seed: int,
-                workload: WorkloadSpec | None = None,
-                profile_name: str = "default") -> list[DelayStats]:
-    """One run per node count (ascending), per-run seeds derived from
-    the master seed."""
-    if list(counts) != sorted(counts):
+                workload: WorkloadSpec | None = None) -> list[DelayStats]:
+    """One run per node count (ascending, any iterable), per-run seeds
+    derived from the master seed."""
+    counts = list(counts)
+    if counts != sorted(counts):
         raise ValueError("counts must be ascending")
     workload = workload or DEFAULT_WORKLOAD
     master = random.Random(seed)
@@ -456,7 +456,7 @@ def sweep_nodes(setting: PlacementSetting, counts, seed: int,
     for count in counts:
         run_seed = master.getrandbits(32)
         out.append(run_experiment(setting, replace(workload, node_count=count),
-                                  run_seed, profile_name))
+                                  run_seed))
     return out
 
 

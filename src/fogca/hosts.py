@@ -24,7 +24,6 @@ from .simnet import Network, SimEvent
 
 @dataclass
 class Verdict:
-    at: int
     kind: str      # e.g. "ReplayDetected", "key-agreement"
     detail: str = ""
 
@@ -69,7 +68,7 @@ class AuthorityHost:
             net.send(self.node_id, *answer(self.state, self.reported_profiles,
                                            event.src, msg))
         except FogcaError as exc:
-            self.verdicts.append(Verdict(net.now, type(exc).__name__, str(exc)))
+            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
 
 class ChildHost:
@@ -108,7 +107,7 @@ class ChildHost:
         try:
             msg = wire.decode(event.payload, self.state.params)
         except FogcaError as exc:
-            self.verdicts.append(Verdict(net.now, type(exc).__name__, str(exc)))
+            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
             return
         try:
             if isinstance(msg, wire.RegistrationResponse):
@@ -120,7 +119,7 @@ class ChildHost:
                 if self.confirming:
                     self.confirming = False
                     self.registered = True
-                self.verdicts.append(Verdict(net.now, "key-agreement", "OK"))
+                self.verdicts.append(Verdict("key-agreement", "OK"))
             elif isinstance(msg, wire.PeerRelay):
                 initiator, challenge = self.state.peer_respond(msg)
                 net.send(self.node_id, initiator.decode(),
@@ -133,13 +132,12 @@ class ChildHost:
                 from_id = event.src.encode()
                 self.state.peer_verify(msg, from_id)
                 self.established.append(from_id)
-                self.verdicts.append(Verdict(net.now, "peer-established",
-                                             event.src))
+                self.verdicts.append(Verdict("peer-established", event.src))
             else:
-                self.verdicts.append(Verdict(
-                    net.now, "UnexpectedMessage", type(msg).__name__))
+                self.verdicts.append(Verdict("UnexpectedMessage",
+                                             type(msg).__name__))
         except FogcaError as exc:
-            self.verdicts.append(Verdict(net.now, type(exc).__name__, str(exc)))
+            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
             if self.confirming:
                 self.confirming = False
                 self.state.auth_key = None

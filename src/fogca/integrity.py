@@ -14,7 +14,7 @@ import enum
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     FogcaError,
@@ -197,10 +197,8 @@ class AffinityStore:
         self.records: dict[bytes, AffinityRecord] = {}
         self.events: list[CountermeasureEvent] = []
 
-    def provision(self, profile: DeviceProfile, channel_key: bytes,
-                  now_ms: int = 0) -> None:
-        self.records[profile.device_id] = AffinityRecord(
-            profile, channel_key, TrustState.UNTRUSTED, now_ms)
+    def provision(self, profile: DeviceProfile, channel_key: bytes) -> None:
+        self.records[profile.device_id] = AffinityRecord(profile, channel_key)
 
     def get(self, device_id: bytes) -> AffinityRecord:
         rec = self.records.get(device_id)

@@ -92,10 +92,9 @@ class Inject:
 
 @dataclass
 class Rule:
-    """When `match(event, decoded)` is true, perform `action`."""
+    """The first time `match(event, decoded)` is true, perform `action`."""
     match: object
     action: object
-    once: bool = True
     _spent: bool = False
 
 
@@ -149,8 +148,7 @@ class _Adversary:
             if rule._spent:
                 continue
             if rule.match(event, decoded):
-                if rule.once:
-                    rule._spent = True
+                rule._spent = True
                 return rule.action
         return None
 

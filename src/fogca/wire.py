@@ -3,7 +3,9 @@
 One tag byte selects the variant; integers are big-endian; identities
 are length-prefixed UTF-8 of 1-64 bytes; points use the curve module's
 fixed-width encoding, so decoding a point-bearing message requires the
-curve parameters (the announcement itself is self-describing).
+curve parameters (the announcement itself is self-describing).  A sealed
+box is its 12-byte cipher nonce, a 4-byte big-endian ciphertext length,
+the ciphertext and the 16-byte tag.
 
 encode/decode form an identity on every variant, and decode never
 raises anything but DecodeError on malformed input.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import curve
-from .crypto import SealedBox
+from .crypto import BOX_NONCE_LEN, TAG_LEN, SealedBox
 from .errors import DecodeError
 
 TAG_ANNOUNCEMENT = 0x01
@@ -32,10 +34,9 @@ MAX_IDENTITY_LEN = 64
 
 @dataclass(frozen=True)
 class Announcement:
-    """Public system parameters: curve, authority public key, hash ids."""
+    """Public system parameters: curve and authority public key."""
     params: curve.CurveParams
     public_key: curve.CurvePoint
-    hash_ids: tuple[str, str, str] = (curve.H1_ID, curve.H2_ID, curve.H3_ID)
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,11 @@ def _enc_point(params: curve.CurveParams, pt: curve.CurvePoint) -> bytes:
     return bytes([len(raw)]) + raw
 
 
+def _enc_box(box: SealedBox) -> bytes:
+    return (box.nonce + len(box.ciphertext).to_bytes(4, "big")
+            + box.ciphertext + box.tag)
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -154,20 +160,10 @@ class _Reader:
         n = self.u8()
         return curve.decode_point(params, self.take(n))
 
-    def short_str(self) -> str:
-        n = self.u8()
-        try:
-            return self.take(n).decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("bad ascii string") from exc
-
     def box(self) -> SealedBox:
-        # peek the internal ciphertext length to slice the exact span
-        head = 12 + 4
-        if self.pos + head > len(self.data):
-            raise DecodeError("sealed box truncated")
-        clen = int.from_bytes(self.data[self.pos + 12:self.pos + head], "big")
-        return SealedBox.from_bytes(self.take(head + clen + 16))
+        nonce = self.take(BOX_NONCE_LEN)
+        clen = int.from_bytes(self.take(4), "big")
+        return SealedBox(nonce, self.take(clen), self.take(TAG_LEN))
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -178,18 +174,15 @@ def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> byt
     """Serialize a protocol message; point-bearing variants need params."""
     if isinstance(msg, Announcement):
         cp = msg.params
-        out = [bytes([TAG_ANNOUNCEMENT]), _enc_varint(cp.p), _enc_varint(cp.a),
-               _enc_varint(cp.b), _enc_varint(cp.order_n),
-               _enc_varint(cp.cofactor), _enc_point(cp, cp.base_point),
-               _enc_point(cp, msg.public_key)]
-        for hid in msg.hash_ids:
-            raw = hid.encode("ascii")
-            out.append(bytes([len(raw)]) + raw)
-        return b"".join(out)
+        return b"".join([
+            bytes([TAG_ANNOUNCEMENT]), _enc_varint(cp.p), _enc_varint(cp.a),
+            _enc_varint(cp.b), _enc_varint(cp.order_n),
+            _enc_varint(cp.cofactor), _enc_point(cp, cp.base_point),
+            _enc_point(cp, msg.public_key)])
     if isinstance(msg, RegistrationRequest):
         return bytes([TAG_REG_REQUEST]) + _enc_identity(msg.child_id)
     if isinstance(msg, RegistrationResponse):
-        return bytes([TAG_REG_RESPONSE]) + msg.sealed_auth_key.to_bytes()
+        return bytes([TAG_REG_RESPONSE]) + _enc_box(msg.sealed_auth_key)
     if isinstance(msg, AuthRequest):
         if params is None:
             raise ValueError("curve params required to encode AuthRequest")
@@ -204,16 +197,16 @@ def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> byt
                 + _enc_point(params, msg.key_check)
                 + msg.sent_at.to_bytes(8, "big"))
     if isinstance(msg, PeerInit):
-        return (bytes([TAG_PEER_INIT]) + msg.peer_box.to_bytes()
-                + msg.key_box.to_bytes())
+        return (bytes([TAG_PEER_INIT]) + _enc_box(msg.peer_box)
+                + _enc_box(msg.key_box))
     if isinstance(msg, PeerRelay):
-        return (bytes([TAG_PEER_RELAY]) + msg.initiator_box.to_bytes()
-                + msg.key_box.to_bytes())
+        return (bytes([TAG_PEER_RELAY]) + _enc_box(msg.initiator_box)
+                + _enc_box(msg.key_box))
     if isinstance(msg, PeerChallenge):
-        return (bytes([TAG_PEER_CHALLENGE]) + msg.identity_box.to_bytes()
-                + msg.nonce_box.to_bytes())
+        return (bytes([TAG_PEER_CHALLENGE]) + _enc_box(msg.identity_box)
+                + _enc_box(msg.nonce_box))
     if isinstance(msg, PeerProof):
-        return bytes([TAG_PEER_PROOF]) + msg.nonce_box.to_bytes()
+        return bytes([TAG_PEER_PROOF]) + _enc_box(msg.nonce_box)
     raise TypeError(f"not a protocol message: {msg!r}")
 
 
@@ -249,9 +242,8 @@ def _decode(data: bytes, params: curve.CurveParams | None) -> ProtocolMessage:
             cp = curve.make_params(p, a, b, base.x, base.y, n, cofactor)
         except ValueError as exc:
             raise DecodeError(f"invalid announced curve: {exc}") from exc
-        hash_ids = (r.short_str(), r.short_str(), r.short_str())
         r.done()
-        return Announcement(cp, pub, hash_ids)
+        return Announcement(cp, pub)
     if tag == TAG_REG_REQUEST:
         ident = r.identity()
         r.done()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fogca import authority, curve, wire
-from fogca.crypto import open_box, seal
+from fogca.crypto import open_box
 from fogca.errors import (
     AuthFailure,
     BadProof,
@@ -353,6 +353,25 @@ class TestPeerRelay:
         with pytest.raises(TargetRevoked):
             toy_rig.authority.relay_peer_request(b"cam-01", msg)
 
+    def test_expired_sender_cannot_relay(self, toy_rig):
+        child, profile = toy_rig.provision(b"car-77")
+        resp = toy_rig.authority.register_child(
+            child.request_registration(), profile, lifetime_ms=10_000)
+        child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        toy_rig.register(b"lock-02")
+        toy_rig.clock.advance(11_000)  # past its lifetime, not yet purged
+        with pytest.raises(Expired):
+            toy_rig.authority.relay_peer_request(
+                b"car-77", child.peer_init(b"lock-02"))
+
+    def test_quarantined_sender_cannot_relay(self, toy_rig):
+        a = toy_rig.register(b"cam-01")
+        toy_rig.register(b"lock-02")
+        toy_rig.store.set_trust(b"cam-01", TrustState.QUARANTINED)
+        with pytest.raises(DeviceUntrusted):
+            toy_rig.authority.relay_peer_request(b"cam-01",
+                                                 a.peer_init(b"lock-02"))
+
 
 class TestStateHygiene:
     def test_private_key_not_in_any_message(self, prod_rig):
@@ -368,7 +387,7 @@ class TestStateHygiene:
         _, proof = child.peer_accept(chal)
         params = prod_rig.params
         secret_blobs = [
-            curve.encode_scalar(params, prod_rig.authority.private_key)]
+            prod_rig.authority.private_key.to_bytes(params.scalar_width, "big")]
         for _, key in prod_rig.authority.sessions.values():
             secret_blobs.append(key)
         wires = [wire.encode(prod_rig.announcement),

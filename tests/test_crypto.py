@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fogca import crypto
-from fogca.errors import AuthFailure, DecodeError, WidthMismatch
+from fogca.errors import AuthFailure, WidthMismatch
 
 TOY_DERIVE_123 = (4, "613b5ae2930fe8d594ffbc3bf5ae4255fb5aeb3d6e38907fa8e8dbeb6db9d6d9")
 TOY_DERIVE_213 = (16, "4701ff5fc6f502054aa80dd4657e31124da6cfe1f886bf608aeb8c5933e94cdf")
@@ -51,21 +51,6 @@ class TestSealOpen:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
             crypto.seal(b"short", b"m", random.Random(0))
-
-    def test_wire_form_roundtrip(self):
-        rng = random.Random(6)
-        box = crypto.seal(rng.randbytes(32), b"payload", rng)
-        raw = box.to_bytes()
-        assert len(raw) == box.wire_len()
-        assert crypto.SealedBox.from_bytes(raw) == box
-
-    def test_wire_form_truncation(self):
-        rng = random.Random(7)
-        raw = crypto.seal(rng.randbytes(32), b"payload", rng).to_bytes()
-        with pytest.raises(DecodeError):
-            crypto.SealedBox.from_bytes(raw[:-1])
-        with pytest.raises(DecodeError):
-            crypto.SealedBox.from_bytes(raw[:10])
 
 
 class TestDeriveSessionKey:

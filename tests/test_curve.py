@@ -431,15 +431,6 @@ class TestEncoding:
         with pytest.raises(DecodeError):
             curve.decode_point(prod, b"\x02" + bytes(64))
 
-    def test_scalar_roundtrip_and_bounds(self, prod):
-        raw = curve.encode_scalar(prod, 12345)
-        assert len(raw) == prod.scalar_width
-        assert curve.decode_scalar(prod, raw) == 12345
-        with pytest.raises(DecodeError):
-            curve.decode_scalar(prod, prod.order_n.to_bytes(32, "big"))
-        with pytest.raises(ValueError):
-            curve.encode_scalar(prod, prod.order_n)
-
 
 class TestParams:
     def test_presets_valid(self, toy, prod):

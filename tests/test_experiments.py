@@ -269,6 +269,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             ex.sweep_nodes(ex.placement("FogOnly"), [10, 5], seed=1)
 
+    def test_counts_may_be_a_generator(self):
+        out = ex.sweep_nodes(ex.placement("FogOnly"), (n for n in (2, 3)),
+                             seed=1, workload=SMALL)
+        assert [s.registration.count for s in out] == [2, 3]
+
     def test_single_count(self):
         out = ex.sweep_nodes(ex.placement("FogOnly"), [3], seed=1,
                              workload=SMALL)

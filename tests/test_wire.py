@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogca import curve, wire
-from fogca.crypto import seal
+from fogca.crypto import BOX_NONCE_LEN, TAG_LEN, seal
 from fogca.errors import DecodeError
 
 
@@ -28,6 +28,11 @@ def sample_messages(params):
     ]
 
 
+BOX_MESSAGES = (wire.RegistrationResponse, wire.PeerInit, wire.PeerRelay,
+                wire.PeerChallenge, wire.PeerProof)
+OLD_HASH_IDS = (b"h1/sha256/try-increment", b"h2/sha256", b"h3/sha256")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("preset", ["toy17", "prod256"])
     def test_every_variant(self, preset):
@@ -45,6 +50,12 @@ class TestRoundTrip:
         decoded = wire.decode(wire.encode(ann))  # no params argument
         assert decoded == ann
         assert decoded.params.order_n == prod.order_n
+
+    def test_announcement_ends_after_public_key(self, prod):
+        pub = curve.scalar_mul(prod, 7, prod.base_point)
+        raw = curve.encode_point(prod, pub)
+        blob = wire.encode(wire.Announcement(prod, pub))
+        assert blob.endswith(bytes([len(raw)]) + raw)
 
     def test_infinity_point_encodes(self, toy):
         msg = wire.AuthResponse(curve.INFINITY, toy.base_point, 1)
@@ -97,6 +108,36 @@ class TestErrors:
         blob[3] = 15  # p := 15, composite
         with pytest.raises(DecodeError):
             wire.decode(bytes(blob))
+
+
+    def test_announcement_with_old_hash_ids_refused(self, prod):
+        ann = wire.Announcement(prod, curve.scalar_mul(prod, 7, prod.base_point))
+        old = wire.encode(ann) + b"".join(bytes([len(hid)]) + hid
+                                          for hid in OLD_HASH_IDS)
+        with pytest.raises(DecodeError):
+            wire.decode(old)
+
+
+class TestSealedBox:
+    def test_wire_form_roundtrip(self):
+        rng = random.Random(6)
+        box = seal(rng.randbytes(32), b"payload", rng)
+        blob = wire.encode(wire.PeerProof(box))
+        # tag byte, then nonce || 4-byte BE length || ciphertext || tag
+        assert blob == (bytes([wire.TAG_PEER_PROOF]) + box.nonce
+                        + len(box.ciphertext).to_bytes(4, "big")
+                        + box.ciphertext + box.tag)
+        assert len(blob) == 1 + BOX_NONCE_LEN + 4 + len(b"payload") + TAG_LEN
+        assert wire.decode(blob) == wire.PeerProof(box)
+
+    def test_wire_form_truncation(self, toy):
+        boxed = [m for m in sample_messages(toy) if isinstance(m, BOX_MESSAGES)]
+        assert len(boxed) == len(BOX_MESSAGES)
+        for msg in boxed:
+            blob = wire.encode(msg, toy)
+            for cut in range(len(blob)):
+                with pytest.raises(DecodeError):
+                    wire.decode(blob[:cut], toy)
 
 
 class TestMutation:
