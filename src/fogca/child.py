@@ -65,7 +65,9 @@ class ChildState:
         self.ca_session: tuple[int, bytes] | None = None
         self.peer_sessions: dict[bytes, bytes] = {}
         self.proposed: dict[bytes, bytes] = {}
-        self.pending_challenges: dict[bytes, bytes] = {}
+        # initiator -> (challenge nonce, relayed key): the key joins
+        # peer_sessions only once the initiator echoes the nonce
+        self.pending_challenges: dict[bytes, tuple[bytes, bytes]] = {}
         self._pending_auth: curve.CurvePoint | None = None  # random point
 
     # ---- registration ------------------------------------------------------
@@ -187,8 +189,8 @@ class ChildState:
         return msg
 
     def peer_respond(self, relay: PeerRelay) -> tuple[bytes, PeerChallenge]:
-        """Accept a relayed proposal and answer with a nonce challenge
-        sealed under the proposed key."""
+        """Answer a relayed proposal with a nonce challenge sealed under
+        the proposed key, which stays pending until `peer_verify`."""
         ca_key = self._ca_key()
         initiator = open_box(ca_key, relay.initiator_box)
         peer_key = open_box(ca_key, relay.key_box)
@@ -198,14 +200,14 @@ class ChildState:
         msg = PeerChallenge(
             identity_box=seal(peer_key, self.ident, self.rng),
             nonce_box=seal(peer_key, challenge_nonce, self.rng))
-        self.pending_challenges[initiator] = challenge_nonce
-        self.peer_sessions[initiator] = peer_key  # provisional until proof
+        self.pending_challenges[initiator] = (challenge_nonce, peer_key)
         return initiator, msg
 
     def peer_accept(self, chal: PeerChallenge) -> tuple[bytes, PeerProof]:
         """Open a challenge with one of our proposed keys and echo the
         nonce back; refuses a challenge whose inner identity is not the
-        peer the key was proposed for."""
+        peer the key was proposed for.  A proposal answers one challenge:
+        it is retired once used."""
         for peer_id, key in self.proposed.items():
             try:
                 claimed = open_box(key, chal.identity_box)
@@ -215,19 +217,20 @@ class ChildState:
                 raise IdentityMismatch(
                     f"challenge names {claimed!r}, key was proposed for {peer_id!r}")
             nonce = open_box(key, chal.nonce_box)
+            del self.proposed[peer_id]
             self.peer_sessions[peer_id] = key
             return peer_id, PeerProof(seal(key, nonce, self.rng))
         raise AuthFailure("no proposed key opens this challenge")
 
     def peer_verify(self, proof: PeerProof, from_id: bytes) -> None:
-        """Final check on the initiator's echo; the stored challenge is
-        single-use and is consumed whatever the outcome."""
-        expected = self.pending_challenges.pop(from_id, None)
-        if expected is None:
+        """Final check on the initiator's echo: only a matching nonce
+        makes the pending key the peer session key.  The stored
+        challenge is single-use and is consumed whatever the outcome."""
+        pending = self.pending_challenges.pop(from_id, None)
+        if pending is None:
             raise NoPendingChallenge(f"no challenge outstanding for {from_id!r}")
-        key = self.peer_sessions.get(from_id)
-        if key is None:
-            raise NoPendingChallenge(f"no provisional key for {from_id!r}")
+        expected, key = pending
         nonce = open_box(key, proof.nonce_box)
         if nonce != expected:
             raise NonceMismatch("echoed nonce differs from stored nonce")
+        self.peer_sessions[from_id] = key

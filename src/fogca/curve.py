@@ -1,11 +1,14 @@
 """Short-Weierstrass elliptic-curve arithmetic over a prime field.
 
-The group law is implemented twice: a readable affine chord-tangent form
-(`point_add`) that tests exercise directly, and an internal Jacobian
-windowed double-and-add used by `scalar_mul` for speed.  The two are
-proven equivalent exhaustively on the toy curve.  On a curve whose
-domain is exactly NIST P-256, multiples of the base point come from
-OpenSSL instead; tests check that path against the Jacobian code.
+The readable affine chord-tangent law (`point_add`) is the oracle that
+tests exercise directly.  `scalar_mul` takes one of three paths: on a
+curve with p < 2^8, small enough to tabulate, it looks the answer up in
+a row of the point's multiples, built once per point with the affine
+law; on a curve whose domain is exactly NIST P-256, multiples of the
+base point come from OpenSSL; everything else runs a Jacobian
+double-and-add with 4-bit windows.  Tests check the table and the
+window loop exhaustively against the affine law on small curves, and
+the OpenSSL path against the window loop.
 Field inverses are Python's modular inverse `pow(x, -1, p)`, and a
 square root modulo p = 3 (mod 4) is one exponentiation plus a check.
 
@@ -224,7 +227,7 @@ def point_sub(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint
     return point_add(params, p1, point_neg(params, p2))
 
 
-# ---- scalar multiplication (Jacobian, windowed) ---------------------------
+# ---- scalar multiplication -----------------------------------------------
 
 _mult_watchers: list[dict] = []
 
@@ -283,8 +286,8 @@ def _jac_add(P1, P2, p, a):
     return (X3, Y3, Z3)
 
 
-# width of the cached base-point table, which is built once per curve
-_BASE_WIDTH = 4
+# width of every window table; the base point's is built once per curve
+_WIDTH = 4
 
 
 def _window_table(params: CurveParams, pt: CurvePoint, width: int):
@@ -296,14 +299,39 @@ def _window_table(params: CurveParams, pt: CurvePoint, width: int):
     return table
 
 
-def _window_width(params: CurveParams) -> int:
-    """Window width for a point other than the base, whose table
-    `scalar_mul` builds on every call: the w in 1..4 with the fewest
-    table additions (2^w - 2) plus window additions (ceil(k / w) for
-    k-bit scalars), the smaller w on a tie.  The doublings number about
-    k for every w.  4 on P-256; 1, plain double-and-add, on toy17."""
-    k = params.order_n.bit_length()
-    return min(range(1, 5), key=lambda w: (1 << w) - 2 + (k + w - 1) // w)
+def _window_mul(params: CurveParams, s: int, table, width: int) -> CurvePoint:
+    """s * P for s >= 0 by double-and-add over width-bit windows, given
+    P's `_window_table` of that width."""
+    p, a = params.p, params.a
+    R = (0, 0, 0)
+    mask = (1 << width) - 1
+    doublings = range(width)
+    for shift in range((s.bit_length() - 1) // width * width, -1, -width):
+        if R[2]:
+            for _ in doublings:
+                R = _jac_double(R, p, a)
+        digit = (s >> shift) & mask
+        if digit:
+            R = _jac_add(R, table[digit], p, a)
+    if not R[2]:
+        return INFINITY
+    zi = pow(R[2], -1, p)
+    zi2 = zi * zi % p
+    return CurvePoint(R[0] * zi2 % p, R[1] * zi2 % p * zi % p)
+
+
+# below this p a curve has fewer than 290 points (Hasse), so `scalar_mul`
+# keeps a row of every multiple of each point it is given: at most 290
+# rows of at most 290 points, whatever points callers pick
+_TABLE_MAX_P = 1 << 8
+
+
+def _multiples(params: CurveParams, pt: CurvePoint) -> list[CurvePoint]:
+    """[O, P, 2P, ..., (n - 1)P] by the affine law, n the subgroup order."""
+    row = [INFINITY]
+    for _ in range(params.order_n - 1):
+        row.append(point_add(params, row[-1], pt))
+    return row
 
 
 # SEC 2 secp256r1 (NIST P-256): p, a, b, Gx, Gy, n, cofactor
@@ -341,21 +369,35 @@ def _base_table(params: CurveParams):
         if _ec is None:
             _ec = import_module("cryptography.hazmat.primitives.asymmetric.ec")
         return _OPENSSL_P256
-    return _window_table(params, G, _BASE_WIDTH)
+    return _window_table(params, G, _WIDTH)
 
 
 def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
-    """s * pt by windowed double-and-add; s is reduced mod the subgroup
-    order, so (s mod n) * P == s * P.  Multiples of the base point of a
-    P-256 domain come from OpenSSL; all other work is pure Python and
+    """s * pt; s is reduced mod the subgroup order, so (s mod n) * P ==
+    s * P.  On a curve with p < 2^8 the answer is looked up in pt's row
+    of multiples, built and on-curve checked on pt's first use; a P-256
+    domain's base-point multiples come from OpenSSL; everything else is
+    4-bit windowed double-and-add.  All but OpenSSL is pure Python and
     not constant-time."""
+    if params.p < _TABLE_MAX_P:
+        rows = getattr(params, "_rows", None)
+        if rows is None:
+            rows = {}
+            object.__setattr__(params, "_rows", rows)
+        row = rows.get(pt)
+        if row is None:
+            # a row exists only for a point that passed this check
+            _require_on_curve(params, pt)
+            row = rows[pt] = _multiples(params, pt)
+        for counter in _mult_watchers:
+            counter["scalar_mul"] += 1
+        return row[s % params.order_n]
     _require_on_curve(params, pt)
     for counter in _mult_watchers:
         counter["scalar_mul"] += 1
     s %= params.order_n
     if s == 0 or pt.is_infinity:
         return INFINITY
-    p, a = params.p, params.a
     if pt == params.base_point:
         table = getattr(params, "_base_table", None)
         if table is None:
@@ -363,28 +405,9 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
             object.__setattr__(params, "_base_table", table)
         if table is _OPENSSL_P256:
             return _p256_base_mul(s)
-        width = _BASE_WIDTH
     else:
-        width = getattr(params, "_window_width", None)
-        if width is None:
-            width = _window_width(params)
-            object.__setattr__(params, "_window_width", width)
-        table = _window_table(params, pt, width)
-    R = (0, 0, 0)
-    mask = (1 << width) - 1
-    doublings = range(width)
-    for shift in range((s.bit_length() - 1) // width * width, -1, -width):
-        if R[2]:
-            for _ in doublings:
-                R = _jac_double(R, p, a)
-        digit = (s >> shift) & mask
-        if digit:
-            R = _jac_add(R, table[digit], p, a)
-    if not R[2]:
-        return INFINITY
-    zi = pow(R[2], -1, p)
-    zi2 = zi * zi % p
-    return CurvePoint(R[0] * zi2 % p, R[1] * zi2 % p * zi % p)
+        table = _window_table(params, pt, _WIDTH)
+    return _window_mul(params, s, table, _WIDTH)
 
 
 # ---- hashing -------------------------------------------------------------

@@ -8,7 +8,10 @@ Links are directed; a route is either a direct link or a chain through
 nodes with the proxy role.  An adversary attached to a link sees every
 traversal and may, within its granted capabilities, observe, drop,
 delay, duplicate, replay, modify, or inject traffic. It holds no
-keys, so sealed payloads stay opaque to it.
+keys, so sealed payloads stay opaque to it.  It decodes a payload's
+public structure only while one of its rules can still fire, once per
+traversal, and hands that decoding to the rule's match and to a
+`Modify` transform.
 """
 
 from __future__ import annotations
@@ -143,14 +146,18 @@ class _Adversary:
             return None
 
     def consult(self, event: SimEvent):
+        """(action, decoded payload) of the first unspent rule that
+        matches, else (None, None).  The payload is decoded only while
+        an unspent rule remains, and at most once."""
+        live = [rule for rule in self.policy.rules if not rule._spent]
+        if not live:
+            return None, None
         decoded = self.decode(event.payload)
-        for rule in self.policy.rules:
-            if rule._spent:
-                continue
+        for rule in live:
             if rule.match(event, decoded):
                 rule._spent = True
-                return rule.action
-        return None
+                return rule.action, decoded
+        return None, None
 
     def record(self, event: SimEvent, action: str, payload: bytes | None = None):
         self.transcript.append(TranscriptEntry(
@@ -319,7 +326,7 @@ class Network:
             self._hop_forward(at, src, dst, payload, path, idx)
             return
         hop = SimEvent(at, src, dst, payload)
-        action = adversary.consult(hop)
+        action, decoded = adversary.consult(hop)
         if action is None:
             if "eavesdrop" in adversary.policy.capabilities:
                 adversary.record(hop, "observe")
@@ -339,7 +346,7 @@ class Network:
             self._push_copy(hop, payload, action.delay_ms, path, idx)
             return
         elif isinstance(action, Modify):
-            new_payload = action.transform(payload, adversary.decode(payload))
+            new_payload = action.transform(payload, decoded)
             adversary.record(hop, "modify", new_payload)
             self._hop_forward(at, src, dst, new_payload, path, idx)
             return

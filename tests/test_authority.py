@@ -320,7 +320,9 @@ class TestPeerRelay:
         assert target == b"lock-02"
         initiator, _ = b.peer_respond(relay)
         assert initiator == b"cam-01"
-        assert b.peer_sessions[b"cam-01"] == a.proposed[b"lock-02"]
+        # the relayed key reaches B intact and waits there for A's proof
+        assert b.pending_challenges[b"cam-01"][1] == a.proposed[b"lock-02"]
+        assert b"cam-01" not in b.peer_sessions
 
     def test_no_session_for_sender(self, toy_rig):
         a = toy_rig.register(b"cam-01")

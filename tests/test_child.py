@@ -16,6 +16,9 @@ from fogca.errors import (
     StaleTimestamp,
 )
 
+from fogca.scenarios import build_rig
+from fogca.simnet import AdversaryPolicy, Replay, Rule
+
 from conftest import Rig
 
 
@@ -165,14 +168,72 @@ class TestPeerExchange:
         _, relay = toy_rig.authority.relay_peer_request(
             b"cam-01", a.peer_init(b"lock-02"))
         _, chal = b.peer_respond(relay)
-        key = b.peer_sessions[b"cam-01"]
+        key = b.pending_challenges[b"cam-01"][1]
         bogus = wire.PeerProof(seal(key, b"\x00" * 16, random.Random(1)))
         with pytest.raises(NonceMismatch):
             b.peer_verify(bogus, b"cam-01")
+        assert b"cam-01" not in b.peer_sessions
         # single-use: the genuine proof is now also refused
         _, proof = a.peer_accept(chal)
         with pytest.raises(NoPendingChallenge):
             b.peer_verify(proof, b"cam-01")
+
+    def test_replayed_relay_cannot_roll_back_the_key(self, toy_rig):
+        # A proposes k1, then k2, to B; both exchanges complete; then
+        # the first relay reaches B again
+        a = toy_rig.register(b"cam-01")
+        b = toy_rig.register(b"lock-02")
+        relays = []
+        for _ in range(2):
+            _, relay = toy_rig.authority.relay_peer_request(
+                b"cam-01", a.peer_init(b"lock-02"))
+            initiator, chal = b.peer_respond(relay)
+            _, proof = a.peer_accept(chal)
+            b.peer_verify(proof, initiator)
+            relays.append(relay)
+        k2 = a.peer_sessions[b"lock-02"]
+        assert b.peer_sessions[b"cam-01"] == k2
+        _, chal = b.peer_respond(relays[0])
+        assert b.peer_sessions[b"cam-01"] == k2
+        with pytest.raises(AuthFailure):
+            a.peer_accept(chal)
+        assert a.peer_sessions[b"lock-02"] == b.peer_sessions[b"cam-01"] == k2
+
+    def test_used_proposal_is_retired(self, toy_rig):
+        a = toy_rig.register(b"cam-01")
+        b = toy_rig.register(b"lock-02")
+        _, relay = toy_rig.authority.relay_peer_request(
+            b"cam-01", a.peer_init(b"lock-02"))
+        _, chal = b.peer_respond(relay)
+        a.peer_accept(chal)
+        assert a.proposed == {}
+        # a replayed challenge is refused, not answered again
+        with pytest.raises(AuthFailure):
+            a.peer_accept(chal)
+
+    def test_replayed_relay_through_hosts(self, toy):
+        rig = build_rig(7, toy, [b"cam-01", b"lock-02"])
+        net = rig.net
+        for host in rig.children.values():
+            host.start_registration(net)
+        net.run()
+        cam, lock = rig.children[b"cam-01"], rig.children[b"lock-02"]
+        assert cam.registered and lock.registered
+        # replay the first relay on B's gateway link well after a second
+        # exchange has completed
+        net.attach_adversary(("gw", "lock-02"), AdversaryPolicy(
+            frozenset({"replay"}),
+            [Rule(lambda e, m: isinstance(m, wire.PeerRelay), Replay(500))]),
+            toy)
+        start = net.now
+        cam.start_peer(net, b"lock-02")
+        net.call_at(start + 100, lambda n: cam.start_peer(n, b"lock-02"))
+        net.run()
+        assert net.now >= start + 500
+        assert lock.established == [b"cam-01", b"cam-01"]
+        assert "AuthFailure" in [v.kind for v in cam.verdicts]
+        assert lock.state.peer_sessions[b"cam-01"] == \
+            cam.state.peer_sessions[b"lock-02"]
 
     def test_challenge_from_unknown_key(self, toy_rig):
         a = toy_rig.register(b"cam-01")

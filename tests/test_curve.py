@@ -147,7 +147,7 @@ class TestScalarMul:
                                      params.base_point)
 
     def test_non_base_points(self, toy):
-        # windowed path must agree on arbitrary points too
+        # the table must agree on arbitrary points too
         for pt in all_toy_points(toy):
             if pt.is_infinity:
                 continue
@@ -158,12 +158,16 @@ class TestScalarMul:
 
     def test_op_counter(self, toy, prod):
         with curve.count_ops() as ops:
+            # toy17 calls look up each point's row of multiples; a call
+            # counts whether it builds the row or finds it
             curve.scalar_mul(toy, 5, toy.base_point)
             curve.scalar_mul(toy, 6, toy.base_point)
+            curve.scalar_mul(toy, 2, curve.CurvePoint(3, 1))
+            curve.scalar_mul(toy, 2, curve.CurvePoint(3, 1))
             # prod256 fixed-base calls run in OpenSSL and still count
             for s in (5, 0, prod.order_n):
                 curve.scalar_mul(prod, s, prod.base_point)
-        assert ops == {"scalar_mul": 5, "pairing": 0}
+        assert ops == {"scalar_mul": 7, "pairing": 0}
 
 
 # NIST P-256 domain for make_params, which reduces a = -3 mod p
@@ -258,40 +262,109 @@ class TestP256FixedBase:
         assert out.stdout.split() == ["False", "True"]
 
 
-class TestWindowWidth:
-    """The variable-base window width follows the subgroup order; every
-    width gives the same multiples, so forcing one into the cached slot
-    of a fresh params object checks its table and loop."""
+def repeated_addition(params, k, pt):
+    """k * pt as k affine additions: the oracle."""
+    acc = curve.INFINITY
+    for _ in range(k):
+        acc = curve.point_add(params, acc, pt)
+    return acc
 
-    def test_width_follows_the_order(self, toy, prod):
-        assert curve._window_width(prod) == 4
-        assert curve._window_width(toy) == 1
-        # the base-point table is built once per curve and stays 4 wide
-        assert len(toy._base_table) == 16
 
-    def test_width_is_chosen_once_per_params(self, monkeypatch):
-        calls = []
-        real = curve._window_width
+class TestSmallCurveTable:
+    """On a curve with p < 2^8, `scalar_mul` looks each answer up in the
+    point's row of multiples, built on the point's first use."""
 
-        def counted(params):
-            calls.append(params)
-            return real(params)
+    @pytest.mark.parametrize("domain", [
+        dict(p=17, a=2, b=2, gx=5, gy=1, n=19),
+        # E_11(1,1): 14 points, cofactor 2; (1, 5) has order 14, outside
+        # the order-7 subgroup
+        dict(p=11, a=1, b=1, gx=0, gy=1, n=7, cofactor=2)])
+    def test_every_point_and_scalar_matches_affine_law(self, domain):
+        params = curve.make_params(**domain)
+        n = params.order_n
+        points = curve.enumerate_points(params)
+        assert curve.INFINITY in points
+        if params.cofactor == 2:
+            assert curve.CurvePoint(1, 5) in points
+        for pt in points:
+            for s in range(-1, 2 * n + 2):
+                assert curve.scalar_mul(params, s, pt) == \
+                    repeated_addition(params, s % n, pt), (pt, s)
+        assert len(params._rows) == len(points)
 
-        monkeypatch.setattr(curve, "_window_width", counted)
+    def test_off_curve_point_refused_every_time(self):
         toy = curve.make_params(17, 2, 2, 5, 1, 19)
-        pt = curve.CurvePoint(3, 1)
+        rows = dict(toy._rows)
+        off = curve.CurvePoint(1, 1)
+        assert not curve.is_on_curve(toy, off)
+        for s in (0, 1, 5, 5):
+            with pytest.raises(MismatchedCurve):
+                curve.scalar_mul(toy, s, off)
+        assert toy._rows == rows
+
+    def test_rows_never_outnumber_the_points(self):
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        points = curve.enumerate_points(toy)
+        rng = random.Random(31)
+        for _ in range(500):
+            pt = curve.CurvePoint(*rng.choice(TOY_POINTS))
+            curve.scalar_mul(toy, rng.randrange(-50, 50), pt)
+            assert len(toy._rows) <= len(points)
+        assert set(toy._rows) <= points
+
+    def test_row_is_built_once_per_point(self, monkeypatch):
+        built = []
+        real = curve._multiples
+
+        def counted(params, pt):
+            built.append(pt)
+            return real(params, pt)
+
+        monkeypatch.setattr(curve, "_multiples", counted)
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        assert built == [toy.base_point]
         for s in range(1, 6):
-            curve.scalar_mul(toy, s, pt)
-        assert calls == [toy] and toy._window_width == 1
+            # equal points built anew share the row
+            curve.scalar_mul(toy, s, curve.CurvePoint(3, 1))
+            curve.scalar_mul(toy, s, toy.base_point)
+        assert built == [toy.base_point, curve.CurvePoint(3, 1)]
+        # another params object keeps rows of its own
+        other = curve.make_params(17, 2, 2, 5, 1, 19)
+        curve.scalar_mul(other, 2, curve.CurvePoint(3, 1))
+        assert built[2:] == [other.base_point, curve.CurvePoint(3, 1)]
+
+    def test_only_larger_curves_reach_the_window_loop(self, toy, prod,
+                                                      monkeypatch):
+        calls = []
+        real = curve._window_mul
+
+        def counted(params, s, table, width):
+            calls.append((params, width))
+            return real(params, s, table, width)
+
+        monkeypatch.setattr(curve, "_window_mul", counted)
+        for s in range(1, 4):
+            curve.scalar_mul(toy, s, toy.base_point)
+            curve.scalar_mul(toy, s, curve.CurvePoint(3, 1))
+        assert calls == []
+        two_g = curve.point_add(prod, prod.base_point, prod.base_point)
+        curve.scalar_mul(prod, 5, two_g)
+        assert calls == [(prod, 4)]
+
+
+class TestWindowWidth:
+    """The window loop, called directly at each width: every width gives
+    the same multiples.  `scalar_mul` uses width 4."""
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_every_width_matches_affine_oracle_on_toy(self, width):
-        toy = curve.make_params(17, 2, 2, 5, 1, 19)
-        object.__setattr__(toy, "_window_width", width)
+    def test_every_width_matches_affine_oracle_on_toy(self, toy, width):
         for pt in all_toy_points(toy):
+            if pt.is_infinity:
+                continue
+            table = curve._window_table(toy, pt, width)
             acc = curve.INFINITY
-            for s in range(2 * toy.order_n + 1):
-                assert curve.scalar_mul(toy, s, pt) == acc
+            for s in range(2 * toy.order_n + 2):
+                assert curve._window_mul(toy, s, table, width) == acc
                 acc = curve.point_add(toy, acc, pt)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
@@ -299,16 +372,15 @@ class TestWindowWidth:
         # s * (k * G) == (s * k) * G, the right side from OpenSSL's fixed
         # base, which the default width-4 path matches too
         G = prod.base_point
-        fresh = curve.make_params(gx=G.x, gy=G.y, **P256_DOMAIN)
-        object.__setattr__(fresh, "_window_width", width)
         rng = random.Random(29 + width)
         scalars = [0, 1, P256_N - 1, P256_N, P256_N + 1, 2 * P256_N - 1,
                    rng.randrange(P256_N)]
         for k in (rng.randrange(2, P256_N), rng.randrange(2, P256_N)):
             pt = curve.scalar_mul(prod, k, G)
+            table = curve._window_table(prod, pt, width)
             for s in scalars:
                 expected = curve.scalar_mul(prod, s * k, G)
-                assert curve.scalar_mul(fresh, s, pt) == expected
+                assert curve._window_mul(prod, s, table, width) == expected
                 assert curve.scalar_mul(prod, s, pt) == expected
 
 

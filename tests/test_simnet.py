@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogca import simnet
+from fogca import simnet, wire
 from fogca.errors import NoRoute, UnknownLink, UnknownNode
 from fogca.simnet import (
     AdversaryPolicy,
@@ -385,6 +385,39 @@ class TestAdversary:
         net.send("a", "b", b"second", at=1)
         net.run()
         assert [e.payload for e in deliveries] == [b"second"]
+
+    def test_decodes_only_while_a_rule_can_fire(self, monkeypatch):
+        decoded = []
+        real = wire.decode
+
+        def counted(payload, params=None):
+            decoded.append(payload)
+            return real(payload, params)
+
+        monkeypatch.setattr(wire, "decode", counted)
+        net = triangle()
+        # an eavesdrop-only policy has no rule, so it never decodes
+        net.attach_adversary(("a", "p"),
+                             AdversaryPolicy(frozenset({"eavesdrop"})))
+        matched, transformed = [], []
+
+        def rewrite(raw, msg):
+            transformed.append(msg)
+            return raw + b"!"
+
+        net.attach_adversary(("p", "b"), AdversaryPolicy(
+            frozenset({"modify"}),
+            [Rule(lambda e, m: matched.append(m) is None, Modify(rewrite))]))
+        record_deliveries(net)
+        payload = wire.encode(wire.RegistrationRequest(b"cam-01"))
+        for at in range(3):
+            net.send("a", "b", payload, at=at)
+        net.run()
+        # the rule fires on the first message; after that nothing decodes,
+        # and Modify gets the decoding its rule matched on
+        assert decoded == [payload]
+        assert matched == [wire.RegistrationRequest(b"cam-01")]
+        assert transformed[0] is matched[0] and len(transformed) == 1
 
     def test_conservation_accounting(self):
         net = triangle(seed=9, drop=0.2)
