@@ -6,14 +6,17 @@ curve with p < 2^8, small enough to tabulate, it looks the answer up in
 a row of the point's multiples, built once per point with the affine
 law; on a curve whose domain is exactly NIST P-256, multiples of the
 base point come from OpenSSL; everything else runs a Jacobian
-double-and-add with 4-bit windows.  Tests check the table and the
-window loop exhaustively against the affine law on small curves, and
-the OpenSSL path against the window loop.
+double-and-add with 4-bit windows.  On such a tiny curve `point_add`
+and `decode_point` also compute each answer once, after the full check,
+and look it up afterwards.  Tests check the tables and the window loop
+exhaustively against the affine law on small curves, and the OpenSSL
+path against the window loop.
 Field inverses are Python's modular inverse `pow(x, -1, p)`, and a
 square root modulo p = 3 (mod 4) is one exponentiation plus a check.
 
 Scalars are plain ints reduced modulo the subgroup order.  Points are
-immutable; the point at infinity is the module constant INFINITY.
+named tuples, so they are immutable and compare and hash by value; the
+point at infinity is the module constant INFINITY.
 
 Also here: the three hash families used by the protocols (hash to a
 curve point, hash to a nonzero scalar under a domain tag), brute-force
@@ -28,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import import_module, resources
+from typing import NamedTuple
 
 from .errors import (
     DecodeError,
@@ -104,8 +108,7 @@ def sqrt_mod(c: int, p: int) -> int | None:
     return r
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Affine point; (None, None) is the point at infinity."""
 
     x: int | None
@@ -203,8 +206,48 @@ def point_neg(params: CurveParams, pt: CurvePoint) -> CurvePoint:
     return CurvePoint(pt.x, (-pt.y) % params.p)
 
 
+# below this p a curve has fewer than 290 points (Hasse), few enough
+# to keep its answers in `_TinyTables`
+_TABLE_MAX_P = 1 << 8
+
+
+class _TinyTables:
+    """Answers already computed on one curve with p < 2^8.  An entry is
+    made only after its inputs passed every check, and points compare by
+    value, so a lookup skips no check that would fail: invalid input
+    never enters and raises on every call.  At most #E rows of #E
+    multiples, #E^2 sums and #E decodings, #E < 290."""
+
+    __slots__ = ("rows", "sums", "decodings")
+
+    def __init__(self):
+        self.rows: dict[CurvePoint, list[CurvePoint]] = {}
+        self.sums: dict[tuple[CurvePoint, CurvePoint], CurvePoint] = {}
+        self.decodings: dict[bytes, CurvePoint] = {}
+
+
+def _tiny(params: CurveParams) -> _TinyTables:
+    tables = getattr(params, "_tiny", None)
+    if tables is None:
+        tables = _TinyTables()
+        object.__setattr__(params, "_tiny", tables)
+    return tables
+
+
 def point_add(params: CurveParams, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
-    """Chord-tangent group addition in affine coordinates."""
+    """Chord-tangent group addition in affine coordinates; on a curve
+    with p < 2^8 each sum is computed once and then looked up."""
+    if params.p < _TABLE_MAX_P:
+        sums = _tiny(params).sums
+        total = sums.get((p1, p2))
+        if total is None:
+            total = sums[(p1, p2)] = _affine_add(params, p1, p2)
+        return total
+    return _affine_add(params, p1, p2)
+
+
+def _affine_add(params: CurveParams, p1: CurvePoint,
+                p2: CurvePoint) -> CurvePoint:
     _require_on_curve(params, p1, p2)
     if p1.is_infinity:
         return p2
@@ -320,12 +363,6 @@ def _window_mul(params: CurveParams, s: int, table, width: int) -> CurvePoint:
     return CurvePoint(R[0] * zi2 % p, R[1] * zi2 % p * zi % p)
 
 
-# below this p a curve has fewer than 290 points (Hasse), so `scalar_mul`
-# keeps a row of every multiple of each point it is given: at most 290
-# rows of at most 290 points, whatever points callers pick
-_TABLE_MAX_P = 1 << 8
-
-
 def _multiples(params: CurveParams, pt: CurvePoint) -> list[CurvePoint]:
     """[O, P, 2P, ..., (n - 1)P] by the affine law, n the subgroup order."""
     row = [INFINITY]
@@ -380,10 +417,7 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
     4-bit windowed double-and-add.  All but OpenSSL is pure Python and
     not constant-time."""
     if params.p < _TABLE_MAX_P:
-        rows = getattr(params, "_rows", None)
-        if rows is None:
-            rows = {}
-            object.__setattr__(params, "_rows", rows)
+        rows = _tiny(params).rows
         row = rows.get(pt)
         if row is None:
             # a row exists only for a point that passed this check
@@ -492,6 +526,19 @@ def encode_point(params: CurveParams, pt: CurvePoint) -> bytes:
 
 
 def decode_point(params: CurveParams, data: bytes) -> CurvePoint:
+    """The point `encode_point` wrote as `data`, or DecodeError; on a
+    curve with p < 2^8 each valid encoding is checked once and then
+    looked up."""
+    if params.p < _TABLE_MAX_P:
+        decodings = _tiny(params).decodings
+        pt = decodings.get(data)
+        if pt is None:
+            pt = decodings[data] = _decode_point(params, data)
+        return pt
+    return _decode_point(params, data)
+
+
+def _decode_point(params: CurveParams, data: bytes) -> CurvePoint:
     if data == b"\x00":
         return INFINITY
     w = params.field_width

@@ -253,13 +253,14 @@ class _Device:
         self._arm_timeout(net, txn)
 
     def _arm_timeout(self, net: Network, txn: _Txn) -> None:
-        at = net.now + self.workload.retransmit_timeout_ms
-        net.call_at(at, lambda n, t=txn: self._maybe_retransmit(n, t))
+        """Time out `txn` while it has a retry left; a timeout after the
+        last one could only do nothing."""
+        if txn.retries < self.workload.max_retries:
+            at = net.now + self.workload.retransmit_timeout_ms
+            net.call_at(at, lambda n, t=txn: self._maybe_retransmit(n, t))
 
     def _maybe_retransmit(self, net: Network, txn: _Txn) -> None:
         if txn.completed_at is not None:
-            return
-        if txn.retries >= self.workload.max_retries:
             return
         txn.retries += 1
         self.retransmissions += 1

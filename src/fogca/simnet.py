@@ -5,22 +5,25 @@ Time is virtual milliseconds.  Events are processed in (time, insertion
 order), so a given seed and script always replays byte-for-byte.  Each
 delivery goes to its destination's handler and is kept nowhere else.
 Links are directed; a route is either a direct link or a chain through
-nodes with the proxy role.  An adversary attached to a link sees every
-traversal and may, within its granted capabilities, observe, drop,
-delay, duplicate, replay, modify, or inject traffic. It holds no
-keys, so sealed payloads stay opaque to it.  It decodes a payload's
-public structure only while one of its rules can still fire, once per
-traversal, and hands that decoding to the rule's match and to a
-`Modify` transform.
+nodes with the proxy role.  The loop forwards a hop over a link without
+an adversary itself; a `SimEvent`, a named tuple, is built only where
+one is read.  An adversary attached to a link sees every traversal and
+may, within its granted capabilities, observe, drop, delay, duplicate,
+replay, modify, or inject traffic. It holds no keys, so sealed payloads
+stay opaque to it.  It decodes a payload's public structure only while
+one of its rules can still fire, once per traversal, and hands that
+decoding to the rule's match and to a `Modify` transform.  The network
+transcript merges every adversary's entries in event order.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 from . import wire
 from .errors import DecodeError, NoRoute, UnknownLink, UnknownNode
@@ -31,8 +34,7 @@ CAPABILITIES = ("eavesdrop", "replay", "inject", "modify", "delay", "drop",
                 "duplicate")
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """A payload in flight from src to dst, delivered at `at` ms."""
     at: int
     src: str
@@ -134,10 +136,12 @@ class TranscriptEntry:
 
 
 class _Adversary:
-    def __init__(self, policy: AdversaryPolicy, params=None):
+    def __init__(self, policy: AdversaryPolicy, params,
+                 log: list[TranscriptEntry]):
         self.policy = policy
         self.params = params  # lets the adversary decode public structure
         self.transcript: list[TranscriptEntry] = []
+        self.log = log  # the network's entries of every adversary, in order
 
     def decode(self, payload: bytes):
         try:
@@ -160,9 +164,10 @@ class _Adversary:
         return None, None
 
     def record(self, event: SimEvent, action: str, payload: bytes | None = None):
-        self.transcript.append(TranscriptEntry(
-            event.at, event.src, event.dst, action,
-            event.payload if payload is None else payload))
+        entry = TranscriptEntry(event.at, event.src, event.dst, action,
+                                event.payload if payload is None else payload)
+        self.transcript.append(entry)
+        self.log.append(entry)
 
 
 class Network:
@@ -174,6 +179,7 @@ class Network:
         self._adjacent: dict[str, dict[str, LinkSpec]] = {}  # src -> dst -> link
         self._routes: dict[tuple[str, str], tuple[LinkSpec, ...]] = {}
         self.adversaries: dict[tuple[str, str], _Adversary] = {}
+        self._log: list[TranscriptEntry] = []
         self.handlers: dict[str, object] = {}
         self.now = 0
         self._seq = 0
@@ -245,13 +251,12 @@ class Network:
                          params=None) -> None:
         if link[1] not in self._adjacent.get(link[0], {}):
             raise UnknownLink(f"{link!r}")
-        self.adversaries[link] = _Adversary(policy, params)
+        self.adversaries[link] = _Adversary(policy, params, self._log)
 
     def transcript(self) -> list[TranscriptEntry]:
-        """All adversary observations and actions, in event order."""
-        entries = [e for adv in self.adversaries.values() for e in adv.transcript]
-        entries.sort(key=lambda e: e.at)
-        return entries
+        """All adversary observations and actions, in event order: by
+        time, and in the order they were made within one ms."""
+        return sorted(self._log, key=lambda e: e.at)
 
     def transcript_jsonl(self) -> str:
         return "\n".join(e.json_line() for e in self.transcript())
@@ -264,17 +269,15 @@ class Network:
     # built only where one is read: at delivery and on a link with an
     # adversary.
 
-    def _push(self, at: int, kind: str, data) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, kind, data))
-
     def send(self, src: str, dst: str, payload: bytes,
              at: int | None = None) -> None:
         """Schedule a payload along the route."""
         when = self.now if at is None else at
         path = self.route(src, dst)
         self.accounting["sent"] += 1
-        self._push(when, "hop", (src, dst, payload, path, 0))
+        self._seq += 1
+        heappush(self._heap, (when, self._seq, "hop",
+                              (src, dst, payload, path, 0)))
 
     def ticket(self) -> int:
         """Take the next insertion number now, for a timer scheduled
@@ -287,28 +290,40 @@ class Network:
         """Run fn(network) at virtual time `at`, ordered by `ticket` among
         events of that time.  It must be scheduled before the loop passes
         (at, ticket)."""
-        heapq.heappush(self._heap, (at, ticket, "timer", fn))
+        heappush(self._heap, (at, ticket, "timer", fn))
 
     def call_at(self, at: int, fn) -> None:
         """Run fn(network) at virtual time `at` (timers, retransmits)."""
-        self.schedule(at, self.ticket(), fn)
+        self._seq += 1
+        heappush(self._heap, (at, self._seq, "timer", fn))
 
     def run_until(self, t: int | None = None) -> None:
         """Process events up to and including time t (all events when t
         is None); each delivery runs its destination's handler, if any."""
         heap = self._heap
+        adversaries = self.adversaries
+        handlers = self.handlers
+        accounting = self.accounting
         while heap and (t is None or heap[0][0] <= t):
-            at, _, kind, data = heapq.heappop(heap)
-            self.now = max(self.now, at)
+            at, _, kind, data = heappop(heap)
+            if at > self.now:
+                self.now = at
             if kind == "timer":
                 data(self)
                 continue
             src, dst, payload, path, idx = data
             if idx < len(path):
-                self._traverse(at, src, dst, payload, path, idx)
+                if adversaries:
+                    link = path[idx]
+                    adversary = adversaries.get((link.src, link.dst))
+                    if adversary is not None:
+                        self._traverse(adversary, at, src, dst, payload,
+                                       path, idx)
+                        continue
+                self._hop_forward(at, src, dst, payload, path, idx)
                 continue
-            self.accounting["delivered"] += 1
-            handler = self.handlers.get(dst)
+            accounting["delivered"] += 1
+            handler = handlers.get(dst)
             if handler is not None:
                 handler(self, SimEvent(at, src, dst, payload))
         if t is not None and t > self.now:
@@ -317,14 +332,9 @@ class Network:
     def run(self) -> None:
         self.run_until(None)
 
-    def _traverse(self, at: int, src: str, dst: str, payload: bytes, path,
-                  idx: int) -> None:
-        link = path[idx]
-        adversary = (self.adversaries.get((link.src, link.dst))
-                     if self.adversaries else None)
-        if adversary is None:
-            self._hop_forward(at, src, dst, payload, path, idx)
-            return
+    def _traverse(self, adversary: _Adversary, at: int, src: str, dst: str,
+                  payload: bytes, path, idx: int) -> None:
+        """A hop over a link that `adversary` watches."""
         hop = SimEvent(at, src, dst, payload)
         action, decoded = adversary.consult(hop)
         if action is None:
@@ -364,8 +374,9 @@ class Network:
         """An adversary's copy of `hop`: a new message that crosses the
         same link again `delay_ms` later."""
         self.accounting["adversary_created"] += 1
-        self._push(hop.at + delay_ms, "hop",
-                   (hop.src, hop.dst, payload, path, idx))
+        self._seq += 1
+        heappush(self._heap, (hop.at + delay_ms, self._seq, "hop",
+                              (hop.src, hop.dst, payload, path, idx)))
 
     def _hop_forward(self, at: int, src: str, dst: str, payload: bytes, path,
                      idx: int, extra: int = 0) -> None:
@@ -376,7 +387,9 @@ class Network:
         latency = link.base_latency_ms + extra
         if link.jitter_ms:
             latency += self.rng.randint(0, link.jitter_ms)
-        self._push(at + latency, "hop", (src, dst, payload, path, idx + 1))
+        self._seq += 1
+        heappush(self._heap, (at + latency, self._seq, "hop",
+                              (src, dst, payload, path, idx + 1)))
 
 
 class SimClock:

@@ -290,17 +290,17 @@ class TestSmallCurveTable:
             for s in range(-1, 2 * n + 2):
                 assert curve.scalar_mul(params, s, pt) == \
                     repeated_addition(params, s % n, pt), (pt, s)
-        assert len(params._rows) == len(points)
+        assert len(params._tiny.rows) == len(points)
 
     def test_off_curve_point_refused_every_time(self):
         toy = curve.make_params(17, 2, 2, 5, 1, 19)
-        rows = dict(toy._rows)
+        rows = dict(toy._tiny.rows)
         off = curve.CurvePoint(1, 1)
         assert not curve.is_on_curve(toy, off)
         for s in (0, 1, 5, 5):
             with pytest.raises(MismatchedCurve):
                 curve.scalar_mul(toy, s, off)
-        assert toy._rows == rows
+        assert toy._tiny.rows == rows
 
     def test_rows_never_outnumber_the_points(self):
         toy = curve.make_params(17, 2, 2, 5, 1, 19)
@@ -309,8 +309,8 @@ class TestSmallCurveTable:
         for _ in range(500):
             pt = curve.CurvePoint(*rng.choice(TOY_POINTS))
             curve.scalar_mul(toy, rng.randrange(-50, 50), pt)
-            assert len(toy._rows) <= len(points)
-        assert set(toy._rows) <= points
+            assert len(toy._tiny.rows) <= len(points)
+        assert set(toy._tiny.rows) <= points
 
     def test_row_is_built_once_per_point(self, monkeypatch):
         built = []
@@ -350,6 +350,115 @@ class TestSmallCurveTable:
         two_g = curve.point_add(prod, prod.base_point, prod.base_point)
         curve.scalar_mul(prod, 5, two_g)
         assert calls == [(prod, 4)]
+
+
+def textbook_add(params, p1, p2):
+    """The affine chord-tangent law written out once more: the oracle
+    for `point_add`'s table."""
+    if p1.is_infinity:
+        return p2
+    if p2.is_infinity:
+        return p1
+    p = params.p
+    if p1.x == p2.x and (p1.y + p2.y) % p == 0:
+        return curve.INFINITY
+    if p1 == p2:
+        lam = (3 * p1.x ** 2 + params.a) * pow(2 * p1.y, -1, p) % p
+    else:
+        lam = (p2.y - p1.y) * pow(p2.x - p1.x, -1, p) % p
+    x3 = (lam * lam - p1.x - p2.x) % p
+    return curve.CurvePoint(x3, (lam * (p1.x - x3) - p1.y) % p)
+
+
+TINY_DOMAINS = [
+    dict(p=17, a=2, b=2, gx=5, gy=1, n=19),
+    # E_11(1,1), cofactor 2: half its points lie outside the subgroup
+    dict(p=11, a=1, b=1, gx=0, gy=1, n=7, cofactor=2)]
+
+
+class TestTinyCurveTables:
+    """On a curve with p < 2^8, `point_add` and `decode_point` compute
+    each answer once, after every check, and look it up afterwards."""
+
+    @pytest.mark.parametrize("domain", TINY_DOMAINS)
+    def test_every_sum_matches_affine_law(self, domain):
+        params = curve.make_params(**domain)
+        points = all_toy_points(params)
+        for _ in range(2):  # computed, then looked up
+            for a in points:
+                for b in points:
+                    assert curve.point_add(params, a, b) == \
+                        textbook_add(params, a, b), (a, b)
+        assert len(params._tiny.sums) == len(points) ** 2
+
+    @pytest.mark.parametrize("domain", TINY_DOMAINS)
+    def test_every_encoding_decodes_to_its_point_or_raises(self, domain):
+        params = curve.make_params(**domain)
+        points = curve.enumerate_points(params)
+        decodings = params._tiny.decodings
+        valid = {}
+        # every 0x04 || x || y of the curve's width, each read twice
+        for x in range(256):
+            for y in range(256):
+                data = bytes([4, x, y])
+                for _ in range(2):
+                    try:
+                        valid[data] = curve.decode_point(params, data)
+                    except DecodeError:
+                        assert data not in decodings
+        assert set(valid.values()) == points - {curve.INFINITY}
+        assert all(curve.encode_point(params, pt) == data
+                   for data, pt in valid.items())
+        assert curve.decode_point(params, b"\x00") == curve.INFINITY
+        assert len(decodings) == len(points)
+
+    def test_malformed_encodings_raise_every_time(self):
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        decodings = dict(toy._tiny.decodings)
+        bad = [b"", b"\x04", b"\x00\x00", b"\x04\x05\x01\x00",
+               b"\x02\x05\x01", b"\x04\x05",
+               b"\x04\x11\x06",  # x = p: non-canonical
+               b"\x04\x05\x12",  # y = p + 1: non-canonical
+               b"\x04\x01\x01"]  # off the curve
+        for data in bad * 3:
+            with pytest.raises(DecodeError):
+                curve.decode_point(toy, data)
+        assert toy._tiny.decodings == decodings
+
+    def test_off_curve_operand_refused_every_time(self):
+        toy = curve.make_params(17, 2, 2, 5, 1, 19)
+        G, off = toy.base_point, curve.CurvePoint(1, 1)
+        sums = dict(toy._tiny.sums)
+        for _ in range(3):
+            for pair in ((off, G), (G, off), (off, off),
+                         (off, curve.INFINITY), (curve.INFINITY, off)):
+                with pytest.raises(MismatchedCurve):
+                    curve.point_add(toy, *pair)
+        assert toy._tiny.sums == sums
+
+    def test_larger_curves_keep_no_tables(self, prod):
+        G = prod.base_point
+        curve.point_add(prod, G, G)
+        curve.decode_point(prod, curve.encode_point(prod, G))
+        assert not hasattr(prod, "_tiny")
+
+
+class TestPointType:
+    def test_points_are_immutable_values(self):
+        a, b = curve.CurvePoint(5, 1), curve.CurvePoint(5, 1)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != curve.CurvePoint(5, 16)
+        assert curve.CurvePoint(None, None) == curve.INFINITY
+        assert len({a, b, curve.INFINITY, curve.CurvePoint(None, None)}) == 2
+        with pytest.raises(AttributeError):
+            a.x = 6
+        assert (a.x, a.y) == (5, 1)
+
+    def test_repr_unchanged(self):
+        assert repr(curve.CurvePoint(5, 16)) == "CurvePoint(0x5, 0x10)"
+        assert repr(curve.INFINITY) == "CurvePoint(O)"
+        assert curve.INFINITY.is_infinity
+        assert not curve.CurvePoint(5, 1).is_infinity
 
 
 class TestWindowWidth:

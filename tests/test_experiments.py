@@ -128,6 +128,39 @@ class TestRunExperiment:
             cloud_utilization_pct=1924.5454545454545, fog_utilization_pct=0.0,
             incomplete=730)
 
+    def test_fairly_shared_run_pinned(self):
+        # acceptance 8's run, recorded before the event loop forwarded
+        # plain hops itself; its gw -> fog-ca link is 0 ms, so many
+        # events tie on the same ms
+        stats = ex.run_experiment(ex.placement("FairlyShared"),
+                                  ex.DEFAULT_WORKLOAD, seed=4242)
+        assert stats == ex.DelayStats(
+            registration=ex.TxnStats(count=40, mean_ms=105.675, p50_ms=12.0,
+                                     p95_ms=323.89999999999975, max_ms=452.0),
+            auth=ex.TxnStats(count=617, mean_ms=146.5931928687196,
+                             p50_ms=12.0, p95_ms=364.0, max_ms=582.0),
+            retransmission_count=0, cloud_tasks=307, fog_tasks=350,
+            cloud_utilization_pct=46.515151515151516,
+            fog_utilization_pct=1.1666666666666667, incomplete=0)
+
+    def test_no_timeout_after_the_last_retry(self, monkeypatch):
+        # a timeout past the final retry could only return at once, so
+        # none is armed: each one that fires finds a retry left
+        fired = []
+        real = ex._Device._maybe_retransmit
+
+        def watched(self, net, txn):
+            fired.append((txn.completed_at is None, txn.retries))
+            return real(self, net, txn)
+
+        monkeypatch.setattr(ex._Device, "_maybe_retransmit", watched)
+        workload = replace(SMALL, server_capacity=5.0, max_retries=2)
+        stats = ex.run_experiment(ex.placement("CloudOnly"), workload, seed=5)
+        assert stats.incomplete > 0
+        assert all(retries < 2 for _, retries in fired)
+        assert sum(pending for pending, _ in fired) == \
+            stats.retransmission_count > 0
+
     def test_seed_changes_routing(self):
         a = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=1)
         b = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=2)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -46,6 +47,22 @@ class TestPassive:
         a = scenarios.run_passive(9).transcript_jsonl
         b = scenarios.run_passive(9).transcript_jsonl
         assert a == b
+
+
+class TestGalleryPinned:
+    def test_toy17_reports_and_transcripts_pinned(self):
+        # recorded before the event loop forwarded plain hops itself and
+        # toy17 sums and decodings were looked up: any change to event
+        # order, seeded bytes or transcript order moves it
+        digest = hashlib.sha256()
+        for seed in range(50):
+            for name in scenarios.SCENARIOS:
+                for report in scenarios.run_scenario(name, seed,
+                                                     curve.toy17()):
+                    digest.update(repr(report).encode())
+                    digest.update(report.transcript_jsonl.encode())
+        assert digest.hexdigest() == (
+            "44a35d67fdb4ebe2cd91e2d12662edb44e3540113cc6d779f6cb21e23b5e1645")
 
 
 class TestRunScenario:

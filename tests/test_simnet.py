@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,11 +255,91 @@ class TestDeterminism:
         return (net.transcript_jsonl(), deliveries,
                 tuple(sorted(net.accounting.items())))
 
+    def build_and_run_actions(self, seed):
+        """Same-ms ties on a zero-latency, jittered, lossy link where an
+        adversary duplicates without delay, delays and modifies."""
+        net = Network(seed)
+        net.add_node("a", role="child")
+        net.add_node("p", role="proxy")
+        net.add_node("b", role="authority")
+        net.connect_duplex("a", "p", 0, 2, 0.2)
+        net.connect_duplex("p", "b", 1, 1, 0.0)
+        net.attach_adversary(("a", "p"), AdversaryPolicy(
+            frozenset({"eavesdrop", "duplicate", "delay", "modify"}),
+            [Rule(lambda e, m: e.payload == b"\x03", Duplicate(0)),
+             Rule(lambda e, m: e.payload == b"\x05", Delay(1)),
+             Rule(lambda e, m: e.payload == b"\x07",
+                  Modify(lambda raw, m: raw + b"!"))]))
+        delivered = record_deliveries(net)
+        for i in range(30):
+            net.send("a", "b", bytes([i]), at=i // 3)
+        net.run()
+        return (net.transcript_jsonl(),
+                tuple((e.at, e.src, e.dst, e.payload) for e in delivered),
+                tuple(sorted(net.accounting.items())))
+
     def test_same_seed_identical(self):
         assert self.build_and_run(42) == self.build_and_run(42)
 
     def test_different_seed_differs(self):
         assert self.build_and_run(1) != self.build_and_run(2)
+
+    # digests recorded from the event loop before it forwarded plain hops
+    # itself: any change to event order, drops or draws moves them
+    def test_eavesdropped_run_pinned(self):
+        digest = hashlib.sha256(repr(self.build_and_run(42)).encode())
+        assert digest.hexdigest() == (
+            "c9cd6d59324c3ced6354156695c763668a862b69edd2387ea402a1596c1532ab")
+
+    def test_adversary_actions_run_pinned(self):
+        result = self.build_and_run_actions(7)
+        assert result[2] == (("adversary_created", 1), ("delivered", 22),
+                             ("dropped_adversary", 0), ("dropped_link", 9),
+                             ("sent", 30))
+        digest = hashlib.sha256(repr(result).encode())
+        assert digest.hexdigest() == (
+            "5a5456edbc8f6a1ae8603c8dcdecffc682b8ecd73680154de7d2984b266f91be")
+
+
+class TestEventLoop:
+    def test_plain_hops_skip_the_adversary_path(self, monkeypatch):
+        watched = []
+        real = Network._traverse
+
+        def counted(self, adversary, at, src, dst, payload, path, idx):
+            watched.append((at, path[idx].src, path[idx].dst))
+            return real(self, adversary, at, src, dst, payload, path, idx)
+
+        monkeypatch.setattr(Network, "_traverse", counted)
+        net = triangle()
+        net.attach_adversary(("p", "b"),
+                             AdversaryPolicy(frozenset({"eavesdrop"})))
+        deliveries = record_deliveries(net)
+        net.send("a", "b", b"x", at=0)
+        net.send("b", "a", b"y", at=0)
+        net.run()
+        assert watched == [(5, "p", "b")]
+        assert [(e.at, e.payload) for e in deliveries] == [(85, b"x"),
+                                                           (85, b"y")]
+
+    def test_sim_event_is_an_immutable_value(self):
+        a = simnet.SimEvent(15, "a", "b", b"x")
+        assert a == simnet.SimEvent(15, "a", "b", b"x")
+        assert hash(a) == hash(simnet.SimEvent(15, "a", "b", b"x"))
+        assert a != simnet.SimEvent(16, "a", "b", b"x")
+        with pytest.raises(AttributeError):
+            a.at = 16
+        assert (a.at, a.src, a.dst, a.payload) == (15, "a", "b", b"x")
+        assert repr(a) == "SimEvent(at=15, src='a', dst='b', payload=b'x')"
+
+    def test_clock_never_runs_back(self):
+        net = triangle()
+        seen = []
+        net.call_at(50, lambda n: n.send("a", "p", b"late", at=10))
+        net.set_handler("p", lambda n, e: seen.append(n.now))
+        net.run()
+        # a hop scheduled in the past runs at once, at the clock's time
+        assert seen == [50] and net.now == 50
 
 
 class TestAdversary:
@@ -272,6 +354,26 @@ class TestAdversary:
         net = triangle()
         with pytest.raises(UnknownLink):
             net.attach_adversary(("a", "b"), AdversaryPolicy(frozenset()))
+
+    def test_transcript_in_event_order_across_adversaries(self):
+        net = Network(0)
+        for node in ("a", "b", "c"):
+            net.add_node(node)
+        net.add_node("p", role="proxy")
+        for node in ("a", "b", "c"):
+            net.connect_duplex(node, "p", 1)
+        net.attach_adversary(("a", "p"),
+                             AdversaryPolicy(frozenset({"eavesdrop"})))
+        net.attach_adversary(("b", "p"),
+                             AdversaryPolicy(frozenset({"eavesdrop"})))
+        net.send("b", "c", b"from-b", at=0)
+        net.send("a", "c", b"from-a", at=0)
+        net.run()
+        assert [e.payload for e in net.transcript()] == [b"from-b", b"from-a"]
+        # each adversary still keeps its own entries
+        assert [[e.payload for e in adv.transcript]
+                for adv in net.adversaries.values()] == [[b"from-a"],
+                                                         [b"from-b"]]
 
     def test_eavesdrop_records_but_delivers(self):
         net = triangle()
