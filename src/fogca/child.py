@@ -141,8 +141,10 @@ class ChildState:
     def auth_finish(self, resp: AuthResponse) -> bytes:
         """Check the authority's response and derive the session key;
         accepted only if the key-confirmation point verifies."""
+        if self.auth_key is None:
+            raise NotRegistered("no authentication key installed")
         if self._pending_auth is None:
-            raise ValueError("auth_finish without a pending auth_init")
+            raise NoPendingChallenge("auth_finish without a pending auth_init")
         random_point = self._pending_auth
         self._pending_auth = None
         params = self.params

@@ -4,13 +4,12 @@ The readable affine chord-tangent law (`point_add`) is the oracle that
 tests exercise directly.  `scalar_mul` takes one of three paths: on a
 curve with p < 2^8, small enough to tabulate, it looks the answer up in
 a row of the point's multiples, built once per point with the affine
-law; on a curve whose domain is exactly NIST P-256, multiples of the
-base point come from OpenSSL; everything else runs a Jacobian
-double-and-add with 4-bit windows.  On such a tiny curve `point_add`
-and `decode_point` also compute each answer once, after the full check,
-and look it up afterwards.  Tests check the tables and the window loop
-exhaustively against the affine law on small curves, and the OpenSSL
-path against the window loop.
+law; on a domain that is exactly NIST P-256 (decided once per
+`CurveParams`), multiples of the base point come from OpenSSL;
+everything else runs a Jacobian double-and-add with 4-bit windows.  On
+such a tiny curve `point_add` and `decode_point` also compute each
+answer once, after the full check, and look it up afterwards.  Tests
+check all three paths against the affine law.
 Field inverses are Python's modular inverse `pow(x, -1, p)`, and a
 square root modulo p = 3 (mod 4) is one exponentiation plus a check.
 
@@ -329,31 +328,22 @@ def _jac_add(P1, P2, p, a):
     return (X3, Y3, Z3)
 
 
-# width of every window table; the base point's is built once per curve
-_WIDTH = 4
-
-
-def _window_table(params: CurveParams, pt: CurvePoint, width: int):
-    """[O, P, 2P, ..., (2^width - 1)P] in Jacobian coordinates."""
+def _jacobian_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
+    """s * pt for s >= 0 by double-and-add over 4-bit windows in Jacobian
+    coordinates, with pt's table [O, P, 2P, ..., 15P] built per call."""
+    if pt.is_infinity:
+        return INFINITY
+    p, a = params.p, params.a
     base = (pt.x, pt.y, 1)
     table = [(0, 0, 0), base]
-    for _ in range((1 << width) - 2):
-        table.append(_jac_add(table[-1], base, params.p, params.a))
-    return table
-
-
-def _window_mul(params: CurveParams, s: int, table, width: int) -> CurvePoint:
-    """s * P for s >= 0 by double-and-add over width-bit windows, given
-    P's `_window_table` of that width."""
-    p, a = params.p, params.a
+    for _ in range(14):
+        table.append(_jac_add(table[-1], base, p, a))
     R = (0, 0, 0)
-    mask = (1 << width) - 1
-    doublings = range(width)
-    for shift in range((s.bit_length() - 1) // width * width, -1, -width):
+    for shift in range((s.bit_length() - 1) // 4 * 4, -1, -4):
         if R[2]:
-            for _ in doublings:
+            for _ in range(4):
                 R = _jac_double(R, p, a)
-        digit = (s >> shift) & mask
+        digit = (s >> shift) & 15
         if digit:
             R = _jac_add(R, table[digit], p, a)
     if not R[2]:
@@ -381,32 +371,33 @@ _P256_DOMAIN = (
     0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551,
     1,
 )
-# cached in place of a base-point window table: OpenSSL computes the
-# multiples of this domain's base point
-_OPENSSL_P256 = object()
 # cryptography's EC module, imported with the first P-256 domain so that
 # processes that never use one do not load it
 _ec = None
 
 
+def _is_p256(params: CurveParams) -> bool:
+    """Whether the whole domain is P-256, decided once per params; the
+    first true answer imports the EC module."""
+    answer = getattr(params, "_p256", None)
+    if answer is None:
+        global _ec
+        G = params.base_point
+        answer = (params.p, params.a, params.b, G.x, G.y, params.order_n,
+                  params.cofactor) == _P256_DOMAIN
+        if answer:
+            _ec = import_module("cryptography.hazmat.primitives.asymmetric.ec")
+        object.__setattr__(params, "_p256", answer)
+    return answer
+
+
 def _p256_base_mul(s: int) -> CurvePoint:
-    """s * G on P-256 through OpenSSL, for 1 <= s < n."""
+    """s * G on P-256 through OpenSSL, for 0 <= s < n."""
+    if not s:
+        return INFINITY
     key = _ec.derive_private_key(s, _ec.SECP256R1())
     pub = key.public_key().public_numbers()
     return CurvePoint(pub.x, pub.y)
-
-
-def _base_table(params: CurveParams):
-    """_OPENSSL_P256 when the whole domain is P-256, else the window
-    table of the base point."""
-    global _ec
-    G = params.base_point
-    if (params.p, params.a, params.b, G.x, G.y, params.order_n,
-            params.cofactor) == _P256_DOMAIN:
-        if _ec is None:
-            _ec = import_module("cryptography.hazmat.primitives.asymmetric.ec")
-        return _OPENSSL_P256
-    return _window_table(params, G, _WIDTH)
 
 
 def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
@@ -414,8 +405,8 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
     s * P.  On a curve with p < 2^8 the answer is looked up in pt's row
     of multiples, built and on-curve checked on pt's first use; a P-256
     domain's base-point multiples come from OpenSSL; everything else is
-    4-bit windowed double-and-add.  All but OpenSSL is pure Python and
-    not constant-time."""
+    `_jacobian_mul`.  All but OpenSSL is pure Python and not
+    constant-time."""
     if params.p < _TABLE_MAX_P:
         rows = _tiny(params).rows
         row = rows.get(pt)
@@ -430,18 +421,9 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
     for counter in _mult_watchers:
         counter["scalar_mul"] += 1
     s %= params.order_n
-    if s == 0 or pt.is_infinity:
-        return INFINITY
-    if pt == params.base_point:
-        table = getattr(params, "_base_table", None)
-        if table is None:
-            table = _base_table(params)
-            object.__setattr__(params, "_base_table", table)
-        if table is _OPENSSL_P256:
-            return _p256_base_mul(s)
-    else:
-        table = _window_table(params, pt, _WIDTH)
-    return _window_mul(params, s, table, _WIDTH)
+    if pt == params.base_point and _is_p256(params):
+        return _p256_base_mul(s)
+    return _jacobian_mul(params, s, pt)
 
 
 # ---- hashing -------------------------------------------------------------

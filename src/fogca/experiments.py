@@ -51,20 +51,19 @@ SETTING_FRACTIONS = {
 class PlacementSetting:
     """Named fraction of transactions served by the fog CA."""
     name: str
-    fog_fraction: float
 
     def __post_init__(self):
-        expected = SETTING_FRACTIONS.get(self.name)
-        if expected is None or abs(expected - self.fog_fraction) > 1e-9:
-            raise ValueError(
-                f"setting {self.name!r} must use fraction {expected}")
+        if self.name not in SETTING_FRACTIONS:
+            raise ValueError(f"unknown setting {self.name!r}; "
+                             f"pick from {sorted(SETTING_FRACTIONS)}")
+
+    @property
+    def fog_fraction(self) -> float:
+        return SETTING_FRACTIONS[self.name]
 
 
 def placement(name: str) -> PlacementSetting:
-    if name not in SETTING_FRACTIONS:
-        raise ValueError(f"unknown setting {name!r}; "
-                         f"pick from {sorted(SETTING_FRACTIONS)}")
-    return PlacementSetting(name, SETTING_FRACTIONS[name])
+    return PlacementSetting(name)
 
 
 ALL_SETTINGS = tuple(placement(n) for n in SETTING_FRACTIONS)
@@ -366,9 +365,10 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
         freshness_window_ms=workload.freshness_window_ms)
 
     route_rng = random.Random(master.getrandbits(64))
+    fog_fraction = setting.fog_fraction
 
     def pick_server() -> str:
-        return ("fog-ca" if route_rng.random() < setting.fog_fraction
+        return ("fog-ca" if route_rng.random() < fog_fraction
                 else "cloud-ca")
 
     profiles = {}

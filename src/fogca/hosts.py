@@ -5,7 +5,9 @@ delivered payload: decode, run the matching operation, send the reply.
 `answer` is the one authority dispatcher; it takes a decoded request, so
 a caller that serves the same bytes again can decode them once.
 Refusals never cross the wire; they are recorded as verdicts on the
-refusing side, which is what the attack scenarios assert on.
+refusing side, which is what the attack scenarios assert on.  A child
+drops a provisionally installed key only when the confirmation
+`AuthResponse` fails; any other message refused meanwhile leaves it.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -138,6 +140,8 @@ class ChildHost:
                                              type(msg).__name__))
         except FogcaError as exc:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
-            if self.confirming:
+            if self.confirming and isinstance(msg, wire.AuthResponse):
+                # the issued key failed its confirmation round
                 self.confirming = False
                 self.state.auth_key = None
+                self.state.ca_session = None

@@ -1,8 +1,9 @@
 """Deterministic discrete-event message network with an attachable
 man-in-the-middle adversary.
 
-Time is virtual milliseconds.  Events are processed in (time, insertion
-order), so a given seed and script always replays byte-for-byte.  Each
+Time is virtual milliseconds and only moves forward: nothing can be
+scheduled before now.  Events are processed in (time, insertion order),
+so a given seed and script always replays byte-for-byte.  Each
 delivery goes to its destination's handler and is kept nowhere else.
 Links are directed; a route is either a direct link or a chain through
 nodes with the proxy role.  The loop forwards a hop over a link without
@@ -13,7 +14,8 @@ replay, modify, or inject traffic. It holds no keys, so sealed payloads
 stay opaque to it.  It decodes a payload's public structure only while
 one of its rules can still fire, once per traversal, and hands that
 decoding to the rule's match and to a `Modify` transform.  The network
-transcript merges every adversary's entries in event order.
+transcript holds every adversary's entries in the order they were made,
+which is event order.
 """
 
 from __future__ import annotations
@@ -119,6 +121,9 @@ class AdversaryPolicy:
             if rule.action.kind not in self.capabilities:
                 raise ValueError(
                     f"rule action {rule.action.kind!r} not within capabilities")
+            if min(getattr(rule.action, "ms", 0),
+                   getattr(rule.action, "delay_ms", 0)) < 0:
+                raise ValueError("an adversary cannot act in the past")
 
 
 @dataclass
@@ -255,8 +260,9 @@ class Network:
 
     def transcript(self) -> list[TranscriptEntry]:
         """All adversary observations and actions, in event order: by
-        time, and in the order they were made within one ms."""
-        return sorted(self._log, key=lambda e: e.at)
+        time, and in the order they were made within one ms.  Time only
+        moves forward, so that is the order they were recorded in."""
+        return list(self._log)
 
     def transcript_jsonl(self) -> str:
         return "\n".join(e.json_line() for e in self.transcript())
@@ -271,12 +277,15 @@ class Network:
 
     def send(self, src: str, dst: str, payload: bytes,
              at: int | None = None) -> None:
-        """Schedule a payload along the route."""
-        when = self.now if at is None else at
+        """Schedule a payload along the route, now or at a later `at`."""
+        if at is None:
+            at = self.now
+        elif at < self.now:
+            self._refuse_past(at)
         path = self.route(src, dst)
         self.accounting["sent"] += 1
         self._seq += 1
-        heappush(self._heap, (when, self._seq, "hop",
+        heappush(self._heap, (at, self._seq, "hop",
                               (src, dst, payload, path, 0)))
 
     def ticket(self) -> int:
@@ -290,10 +299,14 @@ class Network:
         """Run fn(network) at virtual time `at`, ordered by `ticket` among
         events of that time.  It must be scheduled before the loop passes
         (at, ticket)."""
+        if at < self.now:
+            self._refuse_past(at)
         heappush(self._heap, (at, ticket, "timer", fn))
 
     def call_at(self, at: int, fn) -> None:
         """Run fn(network) at virtual time `at` (timers, retransmits)."""
+        if at < self.now:
+            self._refuse_past(at)
         self._seq += 1
         heappush(self._heap, (at, self._seq, "timer", fn))
 
@@ -306,8 +319,7 @@ class Network:
         accounting = self.accounting
         while heap and (t is None or heap[0][0] <= t):
             at, _, kind, data = heappop(heap)
-            if at > self.now:
-                self.now = at
+            self.now = at
             if kind == "timer":
                 data(self)
                 continue
@@ -331,6 +343,10 @@ class Network:
 
     def run(self) -> None:
         self.run_until(None)
+
+    def _refuse_past(self, at: int) -> None:
+        raise ValueError(f"time {at} is before now ({self.now}): "
+                         "simulated time only moves forward")
 
     def _traverse(self, adversary: _Adversary, at: int, src: str, dst: str,
                   payload: bytes, path, idx: int) -> None:

@@ -85,7 +85,15 @@ class TestAuthInitiator:
         child = toy_rig.register(b"cam-01")
         resp = wire.AuthResponse(toy_rig.params.base_point,
                                  toy_rig.params.base_point, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NoPendingChallenge):
+            child.auth_finish(resp)
+
+    def test_finish_without_key(self, toy_rig):
+        child = toy_rig.register(b"cam-01")
+        toy_rig.clock.advance(5)
+        resp = toy_rig.authority.handle_auth_request(child.auth_init())
+        child.auth_key = None
+        with pytest.raises(NotRegistered):
             child.auth_finish(resp)
 
     def test_tampered_key_check_rejected(self, toy_rig):

@@ -179,10 +179,21 @@ P256_DOMAIN = dict(
     n=P256_N)
 
 
+def affine_mul(params, k, pt):
+    """k * pt for any k >= 0, unreduced, by affine double-and-add over
+    `point_add`: the oracle on curves too large to tabulate."""
+    acc = curve.INFINITY
+    while k:
+        if k & 1:
+            acc = curve.point_add(params, acc, pt)
+        pt = curve.point_add(params, pt, pt)
+        k >>= 1
+    return acc
+
+
 class TestP256FixedBase:
-    """Multiples of the P-256 base point come from OpenSSL; the Jacobian
-    window code stays the oracle, reached through 2G, which is not the
-    base point: s * G == (s / 2 mod n) * 2G."""
+    """Multiples of the P-256 base point come from OpenSSL; the affine
+    double-and-add over `point_add` is the oracle."""
 
     @given(st.one_of(
         st.integers(min_value=0, max_value=2 * P256_N),
@@ -199,12 +210,9 @@ class TestP256FixedBase:
     @example(P256_N + 1)
     @example(2 * P256_N - 1)
     @settings(max_examples=60, deadline=None)
-    def test_matches_jacobian_oracle(self, prod, s):
-        G = prod.base_point
-        two_g = curve.point_add(prod, G, G)
-        half = s * pow(2, -1, prod.order_n)
-        assert curve.scalar_mul(prod, s, G) == \
-            curve.scalar_mul(prod, half, two_g)
+    def test_matches_affine_oracle(self, prod, s):
+        assert curve.scalar_mul(prod, s, prod.base_point) == \
+            affine_mul(prod, s, prod.base_point)
 
     def test_domain_not_name_selects_openssl(self, prod, monkeypatch):
         G = prod.base_point
@@ -333,23 +341,25 @@ class TestSmallCurveTable:
         curve.scalar_mul(other, 2, curve.CurvePoint(3, 1))
         assert built[2:] == [other.base_point, curve.CurvePoint(3, 1)]
 
-    def test_only_larger_curves_reach_the_window_loop(self, toy, prod,
-                                                      monkeypatch):
+    def test_only_larger_curves_reach_the_jacobian_loop(self, toy, prod,
+                                                        monkeypatch):
         calls = []
-        real = curve._window_mul
+        real = curve._jacobian_mul
 
-        def counted(params, s, table, width):
-            calls.append((params, width))
-            return real(params, s, table, width)
+        def counted(params, s, pt):
+            calls.append(params)
+            return real(params, s, pt)
 
-        monkeypatch.setattr(curve, "_window_mul", counted)
+        monkeypatch.setattr(curve, "_jacobian_mul", counted)
         for s in range(1, 4):
             curve.scalar_mul(toy, s, toy.base_point)
             curve.scalar_mul(toy, s, curve.CurvePoint(3, 1))
+        # P-256 multiples of the base point come from OpenSSL
+        curve.scalar_mul(prod, 5, prod.base_point)
         assert calls == []
         two_g = curve.point_add(prod, prod.base_point, prod.base_point)
         curve.scalar_mul(prod, 5, two_g)
-        assert calls == [(prod, 4)]
+        assert calls == [prod]
 
 
 def textbook_add(params, p1, p2):
@@ -461,36 +471,84 @@ class TestPointType:
         assert not curve.CurvePoint(5, 1).is_infinity
 
 
-class TestWindowWidth:
-    """The window loop, called directly at each width: every width gives
-    the same multiples.  `scalar_mul` uses width 4."""
+class TestJacobianMul:
+    """`_jacobian_mul`, called directly with unreduced scalars, against
+    the affine law."""
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_every_width_matches_affine_oracle_on_toy(self, toy, width):
-        for pt in all_toy_points(toy):
-            if pt.is_infinity:
-                continue
-            table = curve._window_table(toy, pt, width)
+    @pytest.mark.parametrize("domain", TINY_DOMAINS)
+    def test_every_point_matches_affine_law(self, domain):
+        params = curve.make_params(**domain)
+        points = all_toy_points(params)
+        if params.cofactor == 2:
+            # (2, 0) has order 2: doubling it gives O
+            assert [pt for pt in points if pt.y == 0] == \
+                [curve.CurvePoint(2, 0)]
+        for pt in points:
             acc = curve.INFINITY
-            for s in range(2 * toy.order_n + 2):
-                assert curve._window_mul(toy, s, table, width) == acc
-                acc = curve.point_add(toy, acc, pt)
+            for s in range(2 * len(points) + 2):
+                assert curve._jacobian_mul(params, s, pt) == acc, (pt, s)
+                acc = curve.point_add(params, acc, pt)
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_every_width_matches_openssl_on_p256(self, prod, width):
-        # s * (k * G) == (s * k) * G, the right side from OpenSSL's fixed
-        # base, which the default width-4 path matches too
+    def test_p256_edge_scalars_match_affine_oracle(self, prod):
+        # s * (k * G) == (s * k) * G: the right side also from OpenSSL's
+        # fixed base; 15 to 257 and 2^252 +- 1 sit at window boundaries
         G = prod.base_point
-        rng = random.Random(29 + width)
-        scalars = [0, 1, P256_N - 1, P256_N, P256_N + 1, 2 * P256_N - 1,
-                   rng.randrange(P256_N)]
+        for seed in (30, 31, 32, 33):
+            rng = random.Random(seed)
+            scalars = [0, 1, P256_N - 1, P256_N, P256_N + 1, 2 * P256_N - 1,
+                       rng.randrange(P256_N), 15, 16, 17, 255, 256, 257,
+                       2 ** 252 - 1, 2 ** 252 + 1]
+            for k in (rng.randrange(2, P256_N), rng.randrange(2, P256_N)):
+                pt = curve.scalar_mul(prod, k, G)
+                for s in scalars:
+                    expected = affine_mul(prod, s, pt)
+                    assert curve._jacobian_mul(prod, s, pt) == expected, s
+                    assert curve.scalar_mul(prod, s, pt) == expected, s
+                    assert curve.scalar_mul(prod, s * k, G) == expected, s
+
+
+def scalars_of_width(windows, rng, n):
+    """Scalars that span exactly `windows` 4-bit windows: both ends of
+    the range, the multiples of n nearest them, and 32 drawn at random."""
+    lo, hi = (0 if windows == 1 else 16 ** (windows - 1)), 16 ** windows
+    first_multiple = -(-lo // n) * n
+    last_multiple = (hi - 1) // n * n
+    edges = [lo, lo + 1, hi - 2, hi - 1, first_multiple, last_multiple]
+    return [s for s in edges if lo <= s < hi] + \
+        [rng.randrange(lo, hi) for _ in range(32)]
+
+
+class TestWindowWidth:
+    """`_jacobian_mul` on scalars 1 to 4 of its 4-bit windows wide, so
+    that partial sums of O and of -P meet the doublings between
+    windows."""
+
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4])
+    def test_every_width_matches_affine_oracle_on_toy(self, toy, windows):
+        # toy17 has prime order n, so s * P == (s mod n) * P
+        n = toy.order_n
+        scalars = scalars_of_width(windows, random.Random(40 + windows), n)
+        for pt in all_toy_points(toy):
+            multiples = [curve.INFINITY]
+            for _ in range(n - 1):
+                multiples.append(curve.point_add(toy, multiples[-1], pt))
+            for s in scalars:
+                assert curve._jacobian_mul(toy, s, pt) == \
+                    multiples[s % n], (pt, s)
+
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4])
+    def test_every_width_matches_openssl_on_p256(self, prod, windows):
+        # s * (k * G) == (s * k) * G, the right side from OpenSSL's fixed
+        # base
+        G = prod.base_point
+        rng = random.Random(29 + windows)
+        scalars = scalars_of_width(windows, rng, P256_N)[:8]
         for k in (rng.randrange(2, P256_N), rng.randrange(2, P256_N)):
             pt = curve.scalar_mul(prod, k, G)
-            table = curve._window_table(prod, pt, width)
             for s in scalars:
                 expected = curve.scalar_mul(prod, s * k, G)
-                assert curve._window_mul(prod, s, table, width) == expected
-                assert curve.scalar_mul(prod, s, pt) == expected
+                assert curve._jacobian_mul(prod, s, pt) == expected, s
+                assert curve.scalar_mul(prod, s, pt) == expected, s
 
 
 class TestOracles:

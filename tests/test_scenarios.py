@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from fogca import curve, scenarios, wire
 from fogca.crypto import seal
-from fogca.simnet import AdversaryPolicy, Duplicate, Rule
+from fogca.simnet import AdversaryPolicy, Duplicate, Inject, Modify, Rule
 
 
 class TestReplay:
@@ -107,6 +108,75 @@ class TestHostsOverNetwork:
         verdicts = [v.kind for v in rig.children[b"lock-02"].verdicts]
         assert "peer-established" in verdicts
         assert "NoPendingChallenge" in verdicts
+
+    @staticmethod
+    def register_under(params, capability, rule):
+        """Register cam-01 with an adversary on its inbound gateway link."""
+        rig = scenarios.build_rig(3, params, [b"cam-01"])
+        rig.net.attach_adversary(
+            ("gw", "cam-01"),
+            AdversaryPolicy(frozenset({"eavesdrop", capability}), [rule]),
+            params)
+        host = rig.children[b"cam-01"]
+        host.start_registration(rig.net)
+        rig.net.run()
+        return rig, host
+
+    @pytest.mark.parametrize("preset", ["toy17", "prod256"])
+    def test_injected_message_during_confirmation_keeps_the_key(self, preset):
+        # a forged PeerProof lands between the RegistrationResponse and
+        # the confirming AuthResponse: it is refused, and the
+        # provisional key survives to be confirmed
+        params = curve.load_preset(preset)
+        rng = random.Random(1)
+        forged = wire.encode(
+            wire.PeerProof(seal(rng.randbytes(32), rng.randbytes(16), rng)),
+            params)
+        rig, host = self.register_under(params, "inject", Rule(
+            lambda e, m: isinstance(m, wire.RegistrationResponse),
+            Inject(forged)))
+        assert [v.kind for v in host.verdicts] == ["NoPendingChallenge",
+                                                   "key-agreement"]
+        assert host.registered and host.state.auth_key is not None
+        assert host.state.ca_session[1] == \
+            rig.authority_host.state.sessions[b"cam-01"][1]
+
+    @pytest.mark.parametrize("preset", ["toy17", "prod256"])
+    def test_duplicated_auth_response_is_refused(self, preset):
+        params = curve.load_preset(preset)
+        rig, host = self.register_under(params, "duplicate", Rule(
+            lambda e, m: isinstance(m, wire.AuthResponse), Duplicate(5)))
+        assert [v.kind for v in host.verdicts] == ["key-agreement",
+                                                   "NoPendingChallenge"]
+        assert host.registered and host.state.auth_key is not None
+
+    @pytest.mark.parametrize("preset", ["toy17", "prod256"])
+    def test_failed_confirmation_drops_the_key_and_session(self, preset):
+        # the RegistrationResponse delivered again opens a second
+        # confirmation round, whose AuthResponse is tampered with
+        params = curve.load_preset(preset)
+        responses = []
+
+        def second_auth_response(event, decoded):
+            if isinstance(decoded, wire.AuthResponse):
+                responses.append(decoded)
+            return len(responses) == 2
+
+        rig, host = self.register_under(params, "modify", Rule(
+            second_auth_response,
+            Modify(lambda raw, m: wire.encode(dataclasses.replace(
+                m, key_check=curve.point_neg(params, m.key_check)),
+                params))))
+        assert host.registered and host.state.ca_session is not None
+        [issued] = [e.payload for e in rig.net.transcript()
+                    if isinstance(wire.decode(e.payload, params),
+                                  wire.RegistrationResponse)]
+        rig.net.send("gw", "cam-01", issued)
+        rig.net.run()
+        assert [v.kind for v in host.verdicts] == ["key-agreement",
+                                                   "KeyMismatch"]
+        assert not host.confirming
+        assert host.state.auth_key is None and host.state.ca_session is None
 
     def test_authority_records_unexpected_message(self):
         rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])

@@ -334,12 +334,25 @@ class TestEventLoop:
 
     def test_clock_never_runs_back(self):
         net = triangle()
+        refused = []
+
+        def late(n):
+            for schedule in (lambda: n.send("a", "p", b"late", at=10),
+                             lambda: n.call_at(49, lambda _: None),
+                             lambda: n.schedule(0, n.ticket(), lambda _: None)):
+                with pytest.raises(ValueError):
+                    schedule()
+                refused.append(n.now)
+            # now itself is not the past
+            n.send("a", "p", b"now", at=50)
+
         seen = []
-        net.call_at(50, lambda n: n.send("a", "p", b"late", at=10))
-        net.set_handler("p", lambda n, e: seen.append(n.now))
+        net.call_at(50, late)
+        net.set_handler("p", lambda n, e: seen.append((e.at, n.now)))
         net.run()
-        # a hop scheduled in the past runs at once, at the clock's time
-        assert seen == [50] and net.now == 50
+        assert refused == [50, 50, 50]
+        assert seen == [(55, 55)] and net.now == 55
+        assert net.accounting["sent"] == 1
 
 
 class TestAdversary:
@@ -349,6 +362,13 @@ class TestAdversary:
                             [Rule(lambda e, m: True, Drop())])
         with pytest.raises(ValueError):
             AdversaryPolicy(frozenset({"omniscience"}))
+
+    @pytest.mark.parametrize("action", [Delay(-1), Duplicate(-1), Replay(-5),
+                                        Inject(b"x", delay_ms=-1)])
+    def test_action_in_the_past_refused(self, action):
+        with pytest.raises(ValueError):
+            AdversaryPolicy(frozenset(simnet.CAPABILITIES),
+                            [Rule(lambda e, m: True, action)])
 
     def test_attach_requires_link(self):
         net = triangle()
