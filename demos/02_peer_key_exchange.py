@@ -7,34 +7,15 @@ the proposed key; the echoed nonce proves both ends hold the same key.
 
 import random
 
-from fogca import authority, curve
-from fogca.child import ChildState
+from fogca import curve
 from fogca.crypto import ManualClock
 from fogca.errors import NoPendingChallenge
-from fogca.integrity import AffinityStore
-from fogca.scenarios import device_profile
+from fogca.scenarios import Fleet
 
-params = curve.toy17()
-rng = random.Random(5)
-clock = ManualClock()
-store = AffinityStore()
-ca, announcement = authority.setup(params, rng, clock, store)
-
-
-def enroll(ident: bytes) -> ChildState:
-    channel_key = rng.randbytes(32)
-    profile = device_profile(ident)
-    store.provision(profile, channel_key)
-    device = ChildState(ident, announcement, channel_key,
-                        random.Random(ident), clock)
-    clock.advance(9)
-    resp = ca.register_child(device.request_registration(), profile)
-    device.confirm_auth_key(resp, ca.handle_auth_request)
-    return device
-
-
-camera = enroll(b"cam-01")
-lock = enroll(b"lock-02")
+fleet = Fleet(curve.toy17(), random.Random(5), ManualClock())
+ca = fleet.authority
+camera = fleet.register(b"cam-01")
+lock = fleet.register(b"lock-02")
 
 # camera -> custodian: proposal sealed under the camera's session key
 proposal = camera.peer_init(b"lock-02")

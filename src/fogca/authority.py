@@ -135,8 +135,7 @@ class AuthorityState:
     # ---- registration (issue the ID-based authentication key) -------------
 
     def register_child(self, req: RegistrationRequest, profile: DeviceProfile,
-                       lifetime_ms: int | None = None,
-                       countermeasure_policy: str = "quarantine") -> RegistrationResponse:
+                       lifetime_ms: int | None = None) -> RegistrationResponse:
         """Verify device integrity against the affinity baseline, then
         issue the authentication key sealed under the pre-shared
         registration channel key.  A duplicate of a live registration is
@@ -148,8 +147,7 @@ class AuthorityState:
             raise DeviceUntrusted(f"{req.child_id!r} is {record.trust.value}")
         if req.child_id in self.registry and req.child_id not in self.crl:
             raise DuplicateRegistration(f"{req.child_id!r} already registered")
-        verdict = self.affinity.verify(req.child_id, profile, now,
-                                       countermeasure_policy)
+        verdict = self.affinity.verify(req.child_id, profile, now)
         if not verdict.match:
             raise IntegrityMismatch(verdict.diff,
                                     countermeasure=record.trust.value)

@@ -23,6 +23,18 @@ def _curve_arg(parser: argparse.ArgumentParser) -> None:
                         default="toy17")
 
 
+def count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return int(text)
+
+
+def identity(text: str) -> str:
+    if not 1 <= len(text.encode()) <= 64:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 1-64 UTF-8 bytes")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fogca",
@@ -37,19 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="register one child and confirm its key")
     _curve_arg(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--id", default="child-01")
+    p.add_argument("--id", type=identity, default="child-01")
 
     p = sub.add_parser("handshake",
                        help="register K children and run mutual authentication")
     _curve_arg(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=3)
+    p.add_argument("--nodes", type=count, default=3)
 
     p = sub.add_parser("peer", help="peer key exchange relayed by the authority")
     _curve_arg(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--from", dest="from_id", default="child-a")
-    p.add_argument("--to", dest="to_id", default="child-b")
+    p.add_argument("--from", dest="from_id", type=identity, default="child-a")
+    p.add_argument("--to", dest="to_id", type=identity, default="child-b")
 
     p = sub.add_parser("attack", help="run a seeded adversary scenario")
     p.add_argument("--scenario", choices=scenarios.SCENARIOS, required=True)
@@ -64,29 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="placement study run, CSV output")
     p.add_argument("--setting", choices=sorted(experiments.SETTING_FRACTIONS),
                    required=True)
-    p.add_argument("--nodes", type=int, default=40)
+    p.add_argument("--nodes", type=count, default=40)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
     return parser
 
 
-def _mint_children(params, seed: int, idents: list[bytes]):
-    """Authority plus registered-and-confirmed children, library-only."""
-    master = random.Random(seed)
-    clock = ManualClock()
-    store = AffinityStore()
-    state, announcement = authority.setup(
-        params, random.Random(master.getrandbits(64)), clock, store)
-    children = {}
-    for ident in idents:
-        child = scenarios.provision(store, announcement, master, clock, ident)
-        clock.advance(7)
-        resp = state.register_child(child.request_registration(),
-                                    store.get(ident).profile)
-        child.confirm_auth_key(resp, state.handle_auth_request)
-        children[ident] = child
-    return state, children, clock
+class _Fleet(scenarios.Fleet):
+    """A library-only fleet whose clock moves 7 ms before each
+    registration."""
+
+    def register(self, ident: bytes):
+        self.clock.advance(7)
+        return super().register(ident)
 
 
 def cmd_setup(args) -> int:
@@ -99,9 +102,9 @@ def cmd_setup(args) -> int:
 def cmd_register(args) -> int:
     params = curve.load_preset(args.curve)
     ident = args.id.encode()
-    state, children, _ = _mint_children(params, args.seed, [ident])
-    child = children[ident]
-    same = state.sessions[ident][1] == child.ca_session[1]
+    fleet = _Fleet(params, random.Random(args.seed), ManualClock())
+    child = fleet.register(ident)
+    same = fleet.authority.sessions[ident][1] == child.ca_session[1]
     print(f"registered {args.id}: auth key installed, "
           f"confirmation key-agreement: {'OK' if same else 'MISMATCH'}")
     return 0 if same else 1
@@ -110,13 +113,14 @@ def cmd_register(args) -> int:
 def cmd_handshake(args) -> int:
     params = curve.load_preset(args.curve)
     idents = [f"child-{i:02d}".encode() for i in range(args.nodes)]
-    state, children, clock = _mint_children(params, args.seed, idents)
+    fleet = _Fleet(params, random.Random(args.seed), ManualClock())
+    children = {ident: fleet.register(ident) for ident in idents}
     failures = 0
     for ident, child in children.items():
-        clock.advance(11)
-        resp = state.handle_auth_request(child.auth_init())
+        fleet.clock.advance(11)
+        resp = fleet.authority.handle_auth_request(child.auth_init())
         key = child.auth_finish(resp)
-        ok = state.sessions[ident][1] == key
+        ok = fleet.authority.sessions[ident][1] == key
         failures += 0 if ok else 1
         print(f"{ident.decode()}: key-agreement: {'OK' if ok else 'FAILED'}")
     return 0 if failures == 0 else 1
@@ -125,8 +129,10 @@ def cmd_handshake(args) -> int:
 def cmd_peer(args) -> int:
     params = curve.load_preset(args.curve)
     a, b = args.from_id.encode(), args.to_id.encode()
-    state, children, _ = _mint_children(params, args.seed, [a, b])
-    target, relay = state.relay_peer_request(a, children[a].peer_init(b))
+    fleet = _Fleet(params, random.Random(args.seed), ManualClock())
+    children = {ident: fleet.register(ident) for ident in (a, b)}
+    target, relay = fleet.authority.relay_peer_request(
+        a, children[a].peer_init(b))
     initiator, challenge = children[target].peer_respond(relay)
     peer_id, proof = children[a].peer_accept(challenge)
     children[b].peer_verify(proof, initiator)
@@ -209,6 +215,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    if args.command == "peer" and args.from_id == args.to_id:
+        parser.error("--from and --to must name two devices")
     try:
         return COMMANDS[args.command](args)
     except (FogcaError, OSError) as exc:

@@ -34,8 +34,7 @@ from . import authority, curve, wire
 from .child import ChildState
 from .errors import FogcaError, UnknownProfile
 from .hosts import answer
-from .integrity import AffinityStore
-from .scenarios import provision
+from .scenarios import Fleet
 from .simnet import Network, SimClock
 
 SETTING_FRACTIONS = {
@@ -358,11 +357,7 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
     idents = [f"thing-{i:04d}".encode() for i in range(workload.node_count)]
     net = _build_network(profile, [i.decode() for i in idents],
                          master.getrandbits(32))
-    clock = SimClock(net)
-    store = AffinityStore()
-    state, announcement = authority.setup(
-        params, random.Random(master.getrandbits(64)), clock, store,
-        freshness_window_ms=workload.freshness_window_ms)
+    fleet = Fleet(params, master, SimClock(net), workload.freshness_window_ms)
 
     route_rng = random.Random(master.getrandbits(64))
     fog_fraction = setting.fog_fraction
@@ -371,23 +366,18 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
         return ("fog-ca" if route_rng.random() < fog_fraction
                 else "cloud-ca")
 
-    profiles = {}
-    devices: list[_Device] = []
-    for ident in idents:
-        base = provision(store, announcement, master, clock, ident,
-                         workload.freshness_window_ms)
-        profiles[ident] = store.get(ident).profile
-        dev = _Device(base, workload, pick_server)
+    devices = [_Device(fleet.provision(ident), workload, pick_server)
+               for ident in idents]
+    for dev in devices:
         dev.attach(net)
-        devices.append(dev)
 
     decoded = {}  # one logical CA: both instances share decoded requests
-    fog = _QueuedServer("fog-ca", state, workload.server_capacity, profiles,
-                        decoded)
+    fog = _QueuedServer("fog-ca", fleet.authority, workload.server_capacity,
+                        fleet.profiles, decoded)
     cloud = _QueuedServer(
-        "cloud-ca", state,
-        workload.server_capacity * profile.cloud_capacity_scale, profiles,
-        decoded)
+        "cloud-ca", fleet.authority,
+        workload.server_capacity * profile.cloud_capacity_scale,
+        fleet.profiles, decoded)
     fog.attach(net)
     cloud.attach(net)
 

@@ -53,12 +53,11 @@ def answer(state: AuthorityState, profiles, src: str,
 class AuthorityHost:
     """Drives an AuthorityState on one network node."""
 
-    def __init__(self, node_id: str, state: AuthorityState,
-                 reported_profiles=None):
+    def __init__(self, node_id: str, state: AuthorityState, reported_profiles):
         self.node_id = node_id
         self.state = state
         # device reports arrive out of band with the registration request
-        self.reported_profiles = reported_profiles or {}
+        self.reported_profiles = reported_profiles
         self.verdicts: list[Verdict] = []
 
     def attach(self, net: Network) -> None:
@@ -82,9 +81,13 @@ class ChildHost:
         self.state = state
         self.authority_node = authority_node
         self.confirming = False
-        self.registered = False
         self.established: list[bytes] = []
         self.verdicts: list[Verdict] = []
+
+    @property
+    def registered(self) -> bool:
+        """A key is held and no confirmation of it is pending."""
+        return self.state.auth_key is not None and not self.confirming
 
     def attach(self, net: Network) -> None:
         net.set_handler(self.node_id, self.handle)
@@ -118,9 +121,7 @@ class ChildHost:
                 self.start_auth(net)
             elif isinstance(msg, wire.AuthResponse):
                 self.state.auth_finish(msg)
-                if self.confirming:
-                    self.confirming = False
-                    self.registered = True
+                self.confirming = False
                 self.verdicts.append(Verdict("key-agreement", "OK"))
             elif isinstance(msg, wire.PeerRelay):
                 initiator, challenge = self.state.peer_respond(msg)

@@ -207,12 +207,12 @@ class AffinityStore:
         return rec
 
     def verify(self, device_id: bytes, reported: DeviceProfile,
-               now_ms: int = 0, policy: str = "quarantine") -> IvvVerdict:
+               now_ms: int = 0) -> IvvVerdict:
         """Verify a report against the baseline and apply the resulting
         trust transition (including countermeasures on mismatch)."""
         rec = self.get(device_id)
         verdict = verify_ivv(rec.profile, reported)
-        new_trust, action = apply_countermeasure(rec.trust, verdict, policy)
+        new_trust, action = apply_countermeasure(rec.trust, verdict)
         if new_trust is not rec.trust:
             rec.trust = new_trust
             rec.since_ms = now_ms

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import authority, curve, wire
 from .child import ChildState
+from .crypto import DEFAULT_FRESHNESS_WINDOW_MS
 from .hosts import AuthorityHost, ChildHost
 from .integrity import AffinityStore, DeviceProfile
 from .simnet import (
@@ -53,18 +54,40 @@ def device_profile(ident: bytes) -> DeviceProfile:
         ["slot0"], ["slot1", "slot2"], ["telnet"])
 
 
-def provision(store: AffinityStore, announcement: wire.Announcement,
-              master: random.Random, clock, ident: bytes,
-              freshness_window_ms: int = authority.DEFAULT_FRESHNESS_WINDOW_MS,
-              ) -> ChildState:
-    """Manufacturer step for one device: draw its registration channel
-    key from `master`, record `device_profile(ident)` with that key as
-    its affinity baseline, then draw the device's own generator."""
-    channel_key = random.Random(master.getrandbits(64)).randbytes(32)
-    store.provision(device_profile(ident), channel_key)
-    return ChildState(ident, announcement, channel_key,
-                      random.Random(master.getrandbits(64)), clock,
-                      freshness_window_ms)
+class Fleet:
+    """An authority and its devices, every draw taken from `master`: the
+    CA's generator, then per device its channel key and generator.
+    `profiles` holds the report each device sends with its registration.
+    Nothing here moves the clock."""
+
+    def __init__(self, params: curve.CurveParams, master: random.Random,
+                 clock, freshness_window_ms: int = DEFAULT_FRESHNESS_WINDOW_MS):
+        self.params = params
+        self.master = master
+        self.clock = clock
+        self.store = AffinityStore()
+        self.authority, self.announcement = authority.setup(
+            params, random.Random(master.getrandbits(64)), clock, self.store,
+            freshness_window_ms)
+        self.profiles: dict[bytes, DeviceProfile] = {}
+
+    def provision(self, ident: bytes) -> ChildState:
+        """Manufacturer step: draw the channel key, keep the device's
+        profile as its baseline, then draw the device's generator."""
+        channel_key = random.Random(self.master.getrandbits(64)).randbytes(32)
+        self.profiles[ident] = device_profile(ident)
+        self.store.provision(self.profiles[ident], channel_key)
+        return ChildState(ident, self.announcement, channel_key,
+                          random.Random(self.master.getrandbits(64)),
+                          self.clock, self.authority.freshness_window_ms)
+
+    def register(self, ident: bytes) -> ChildState:
+        """Provision `ident`, register it and confirm the issued key."""
+        child = self.provision(ident)
+        child.confirm_auth_key(self.authority.register_child(
+            child.request_registration(), self.profiles[ident]),
+            self.authority.handle_auth_request)
+        return child
 
 
 @dataclass
@@ -85,26 +108,21 @@ def build_rig(seed: int, params: curve.CurveParams,
     """
     master = random.Random(seed)
     net = Network(master.getrandbits(32))
-    clock = SimClock(net)
-    store = AffinityStore()
-    state, announcement = authority.setup(
-        params, random.Random(master.getrandbits(64)), clock, store)
+    fleet = Fleet(params, master, SimClock(net))
     net.add_node("custodian", role="authority")
     net.add_node("gw", role="proxy")
     net.connect_duplex("gw", "custodian", base_latency_ms=0)
-    host = AuthorityHost("custodian", state)
+    host = AuthorityHost("custodian", fleet.authority, fleet.profiles)
     host.attach(net)
     children: dict[bytes, ChildHost] = {}
     for ident in child_ids:
         node_id = ident.decode()
         net.add_node(node_id, role="child")
         net.connect_duplex(node_id, "gw", base_latency_ms=LINK_MS)
-        child_state = provision(store, announcement, master, clock, ident)
-        host.reported_profiles[ident] = store.get(ident).profile
-        child_host = ChildHost(node_id, child_state, "custodian")
+        child_host = ChildHost(node_id, fleet.provision(ident), "custodian")
         child_host.attach(net)
         children[ident] = child_host
-    return _Rig(net, host, children, announcement)
+    return _Rig(net, host, children, fleet.announcement)
 
 
 def _verdicts(rig: _Rig) -> list[str]:
@@ -202,9 +220,11 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
     net = rig.net
     net.add_node("mallory", role="child")
     net.connect_duplex("mallory", "gw", base_latency_ms=LINK_MS)
-    # mallory's own device, provisioned with no authority
-    forged_state = provision(AffinityStore(), rig.announcement, master,
-                             SimClock(net), b"cam-01")
+    # mallory's own device, with no authority behind it
+    channel_key = random.Random(master.getrandbits(64)).randbytes(32)
+    forged_state = ChildState(b"cam-01", rig.announcement, channel_key,
+                              random.Random(master.getrandbits(64)),
+                              SimClock(net))
     # forged key: some scalar times the identity point, but not the CA's
     wrong_scalar = curve.random_scalar(params, master)
     while wrong_scalar == rig.authority_host.state.private_key:

@@ -89,7 +89,7 @@ def test_04_ivv_mutation_suite(toy):
     mutations = matches = 0
     for index, fieldname in enumerate(integrity.PROFILE_FIELDS):
         rig = Rig(toy, seed=index)
-        child, profile = rig.provision(b"cam-01")
+        child, profile = rig.provision(b"cam-01"), rig.profiles[b"cam-01"]
         mutated = perturb_profile(profile, fieldname)
         with pytest.raises(IntegrityMismatch):
             rig.authority.register_child(child.request_registration(), mutated)
@@ -97,7 +97,7 @@ def test_04_ivv_mutation_suite(toy):
         mutations += 1
     for seed in range(len(integrity.PROFILE_FIELDS)):
         rig = Rig(toy, seed=seed)
-        child, profile = rig.provision(b"cam-01")
+        child, profile = rig.provision(b"cam-01"), rig.profiles[b"cam-01"]
         verdict = integrity.verify_ivv(profile,
                                        scenarios.device_profile(b"cam-01"))
         assert verdict.match

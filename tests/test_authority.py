@@ -25,6 +25,16 @@ from fogca.scenarios import device_profile
 from conftest import Rig
 
 
+def register_short_lived(rig, ident: bytes, lifetime_ms: int):
+    """Provision, register and confirm `ident` with a key that expires
+    after `lifetime_ms`."""
+    child = rig.provision(ident)
+    child.confirm_auth_key(rig.authority.register_child(
+        child.request_registration(), rig.profiles[ident], lifetime_ms),
+        rig.authority.handle_auth_request)
+    return child
+
+
 class TestSetup:
     def test_public_key_matches_private(self, toy_rig):
         a = toy_rig.authority
@@ -43,9 +53,9 @@ class TestSetup:
 
 class TestRegistration:
     def test_issued_key_is_private_scalar_times_identity_point(self, toy_rig):
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         resp = toy_rig.authority.register_child(
-            child.request_registration(), profile)
+            child.request_registration(), toy_rig.profiles[b"cam-01"])
         plain = open_box(child.channel_key, resp.sealed_auth_key)
         issued = curve.decode_point(toy_rig.params, plain)
         base = curve.hash_to_point(toy_rig.params, b"cam-01")
@@ -62,7 +72,8 @@ class TestRegistration:
                 wire.RegistrationRequest(b"ghost"), device_profile(b"ghost"))
 
     def test_tampered_profile_quarantines(self, toy_rig):
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
+        profile = toy_rig.profiles[b"cam-01"]
         bad = perturb_profile(profile, "firmware_digest")
         with pytest.raises(IntegrityMismatch) as err:
             toy_rig.authority.register_child(child.request_registration(), bad)
@@ -99,10 +110,7 @@ class TestRegistration:
         old = toy_rig.authority.registry[b"cam-01"]
         toy_rig.authority.revoke(b"cam-01", "compromise")
         toy_rig.clock.advance(100)
-        child2, profile = toy_rig.provision(b"cam-01")
-        resp = toy_rig.authority.register_child(
-            child2.request_registration(), profile)
-        child2.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        toy_rig.register(b"cam-01")
         assert not toy_rig.authority.is_revoked(b"cam-01")
         record = toy_rig.authority.registry[b"cam-01"]
         assert record is not old
@@ -136,7 +144,7 @@ PROD_SESSION_KEY = "175c800cdd41fb902da7212f8fff324da0421e2eaac76e0ee02046f2cb32
 class TestGoldenProd256:
     def test_seeded_transcript_is_pinned(self, prod):
         rig = Rig(prod, seed=2011)
-        child, profile = rig.provision(b"cam-9")
+        child, profile = rig.provision(b"cam-9"), rig.profiles[b"cam-9"]
         rig.clock.advance(5)
         reg = rig.authority.register_child(child.request_registration(),
                                            profile)
@@ -190,7 +198,7 @@ class TestAuthRequest:
     def test_forged_auth_key_rejected(self, prod_rig):
         prod_rig.register(b"cam-01")
         params = prod_rig.params
-        forged = prod_rig.provision(b"cam-01x")[0]
+        forged = prod_rig.provision(b"cam-01x")
         forged.ident = b"cam-01"
         wrong = curve.random_scalar(params, random.Random(99))
         forged.auth_key = curve.scalar_mul(
@@ -280,10 +288,7 @@ class TestRevocation:
             toy_rig.authority.revoke(b"cam-01", "tuesday")
 
     def test_short_lived_key_expires(self, toy_rig):
-        child, profile = toy_rig.provision(b"car-77")
-        resp = toy_rig.authority.register_child(
-            child.request_registration(), profile, lifetime_ms=10_000)
-        child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        child = register_short_lived(toy_rig, b"car-77", 10_000)
         toy_rig.clock.advance(11_000)
         assert toy_rig.authority.purge_expired() == 1
         assert toy_rig.authority.purge_expired() == 0
@@ -292,10 +297,7 @@ class TestRevocation:
         assert toy_rig.authority.crl[b"car-77"].reason == "expiry"
 
     def test_expired_without_purge_still_refused(self, toy_rig):
-        child, profile = toy_rig.provision(b"car-77")
-        resp = toy_rig.authority.register_child(
-            child.request_registration(), profile, lifetime_ms=10_000)
-        child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        child = register_short_lived(toy_rig, b"car-77", 10_000)
         toy_rig.clock.advance(11_000)
         with pytest.raises(Expired):
             toy_rig.authority.handle_auth_request(child.auth_init())
@@ -356,10 +358,7 @@ class TestPeerRelay:
             toy_rig.authority.relay_peer_request(b"cam-01", msg)
 
     def test_expired_sender_cannot_relay(self, toy_rig):
-        child, profile = toy_rig.provision(b"car-77")
-        resp = toy_rig.authority.register_child(
-            child.request_registration(), profile, lifetime_ms=10_000)
-        child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        child = register_short_lived(toy_rig, b"car-77", 10_000)
         toy_rig.register(b"lock-02")
         toy_rig.clock.advance(11_000)  # past its lifetime, not yet purged
         with pytest.raises(Expired):
@@ -410,9 +409,7 @@ class TestStateHygiene:
 
     def test_persistence_roundtrip(self, toy_rig, tmp_path):
         toy_rig.register(b"cam-01")
-        child2, profile2 = toy_rig.provision(b"car-77")
-        toy_rig.authority.register_child(child2.request_registration(),
-                                         profile2, lifetime_ms=5000)
+        register_short_lived(toy_rig, b"car-77", 5000)
         toy_rig.register(b"lock-02")
         toy_rig.authority.revoke(b"lock-02", "compromise")
         path = tmp_path / "registry.txt"
@@ -437,12 +434,8 @@ class TestStateHygiene:
         a = toy_rig.authority
         for ident in (b"hub-05", b"cam-01", b"lock-02", b"door-04"):
             toy_rig.register(ident)
-        child, profile = toy_rig.provision(b"car-77")
         toy_rig.clock.advance(5)
-        child.confirm_auth_key(
-            a.register_child(child.request_registration(), profile,
-                             lifetime_ms=50),
-            a.handle_auth_request)
+        register_short_lived(toy_rig, b"car-77", 50)
         a.revoke(b"lock-02", "policy")
         toy_rig.clock.advance(3)
         a.revoke(b"cam-01", "compromise")
@@ -528,10 +521,10 @@ def count_h1_calls(monkeypatch) -> list[bytes]:
 class TestIdentityPointCache:
     def test_handshakes_reuse_the_cached_points(self, toy_rig, monkeypatch):
         calls = count_h1_calls(monkeypatch)
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         toy_rig.clock.advance(5)
         resp = toy_rig.authority.register_child(child.request_registration(),
-                                                profile)
+                                                toy_rig.profiles[b"cam-01"])
         assert calls == [b"cam-01"]
         child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
         assert calls == [b"cam-01", b"cam-01"]  # the child's first finish
@@ -549,10 +542,10 @@ class TestIdentityPointCache:
 
     def test_overlapping_handshakes_share_the_device_point(self, toy_rig,
                                                             monkeypatch):
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         toy_rig.clock.advance(5)
         child.install_auth_key(toy_rig.authority.register_child(
-            child.request_registration(), profile))
+            child.request_registration(), toy_rig.profiles[b"cam-01"]))
         calls = count_h1_calls(monkeypatch)
         requests = []
         for _ in range(3):  # all in flight before the first answer

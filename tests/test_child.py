@@ -24,18 +24,18 @@ from conftest import Rig
 
 class TestRegistrationConfirmation:
     def test_honest_accept_stores_key(self, toy_rig):
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         resp = toy_rig.authority.register_child(
-            child.request_registration(), profile)
+            child.request_registration(), toy_rig.profiles[b"cam-01"])
         key = child.confirm_auth_key(resp,
                                      toy_rig.authority.handle_auth_request)
         assert child.auth_key is not None
         assert toy_rig.authority.sessions[b"cam-01"][1] == key
 
     def test_wrong_channel_key(self, toy_rig):
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         resp = toy_rig.authority.register_child(
-            child.request_registration(), profile)
+            child.request_registration(), toy_rig.profiles[b"cam-01"])
         child.channel_key = bytes(32)  # device lost its pre-shared key
         with pytest.raises(AuthFailure):
             child.confirm_auth_key(resp,
@@ -45,7 +45,8 @@ class TestRegistrationConfirmation:
     def test_corrupt_authority_key_fails_confirmation(self, toy_rig):
         # an authority that issues A' under the wrong scalar passes the
         # channel check but cannot complete the confirmation handshake
-        child, profile = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
+        profile = toy_rig.profiles[b"cam-01"]
         toy_rig.authority.register_child(child.request_registration(), profile)
         params = toy_rig.params
         wrong = (toy_rig.authority.private_key + 1) % params.order_n or 1
@@ -60,7 +61,7 @@ class TestRegistrationConfirmation:
         assert child.auth_key is None and child.ca_session is None
 
     def test_garbage_key_payload(self, toy_rig):
-        child, _ = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         resp = wire.RegistrationResponse(
             seal(child.channel_key, b"not-a-point", random.Random(0)))
         with pytest.raises(AuthFailure):
@@ -69,7 +70,7 @@ class TestRegistrationConfirmation:
 
 class TestAuthInitiator:
     def test_requires_registration(self, toy_rig):
-        child, _ = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         with pytest.raises(NotRegistered):
             child.auth_init()
 
@@ -154,7 +155,7 @@ class TestPeerExchange:
         assert a.peer_sessions[b"lock-02"] == b.peer_sessions[b"cam-01"]
 
     def test_requires_ca_session(self, toy_rig):
-        child, _ = toy_rig.provision(b"cam-01")
+        child = toy_rig.provision(b"cam-01")
         with pytest.raises(NoCaSession):
             child.peer_init(b"lock-02")
 

@@ -32,6 +32,20 @@ class TestUsage:
             cli.main(["experiment", "--setting", "FogOnly", "--out", "x.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "experiment --setting FogOnly --nodes -1 --seed 1 --out x.csv",
+        "handshake --seed 1 --nodes -3",
+        "register --seed 1 --id " + "x" * 65,
+        "register --seed 1 --id " + "\u00e9" * 33,  # 33 letters, 66 bytes
+        "peer --seed 1 --from a --to a",
+    ], ids=["negative-nodes", "negative-handshake", "long-id", "long-utf8-id",
+            "peer-to-itself"])
+    def test_bad_value_exits_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv.split())
+        assert err.value.code == 2
+        assert "usage" in capsys.readouterr().err.lower()
+
 
 class TestSetup:
     def test_prints_decodable_announcement(self, capsys):

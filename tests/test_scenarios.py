@@ -6,7 +6,8 @@ import pytest
 
 from fogca import curve, scenarios, wire
 from fogca.crypto import seal
-from fogca.simnet import AdversaryPolicy, Duplicate, Inject, Modify, Rule
+from fogca.integrity import TrustState, perturb_profile
+from fogca.simnet import AdversaryPolicy, Drop, Duplicate, Inject, Modify, Rule
 
 
 class TestReplay:
@@ -141,6 +142,12 @@ class TestHostsOverNetwork:
         assert host.state.ca_session[1] == \
             rig.authority_host.state.sessions[b"cam-01"][1]
 
+    def test_unconfirmed_key_is_not_registered(self):
+        rig, host = self.register_under(curve.toy17(), "drop", Rule(
+            lambda e, m: isinstance(m, wire.AuthResponse), Drop()))
+        assert host.confirming and host.state.auth_key is not None
+        assert not host.registered
+
     @pytest.mark.parametrize("preset", ["toy17", "prod256"])
     def test_duplicated_auth_response_is_refused(self, preset):
         params = curve.load_preset(preset)
@@ -175,8 +182,25 @@ class TestHostsOverNetwork:
         rig.net.run()
         assert [v.kind for v in host.verdicts] == ["key-agreement",
                                                    "KeyMismatch"]
-        assert not host.confirming
+        assert not host.confirming and not host.registered
         assert host.state.auth_key is None and host.state.ca_session is None
+
+    def test_integrity_mismatch_over_the_network(self):
+        # a tampered report quarantines the device; an honest retry is
+        # then refused before its report is checked
+        rig = scenarios.build_rig(8, curve.toy17(), [b"cam-01"])
+        host, custodian = rig.children[b"cam-01"], rig.authority_host
+        honest = custodian.reported_profiles[b"cam-01"]
+        for report in (perturb_profile(honest, "firmware_digest"), honest):
+            custodian.reported_profiles[b"cam-01"] = report
+            host.start_registration(rig.net)
+            rig.net.run()
+            assert not host.registered
+            assert b"cam-01" not in custodian.state.registry
+        assert [v.kind for v in custodian.verdicts] == [
+            "IntegrityMismatch", "DeviceUntrusted"]
+        trust = custodian.state.affinity.get(b"cam-01").trust
+        assert trust is TrustState.QUARANTINED
 
     def test_authority_records_unexpected_message(self):
         rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
