@@ -7,9 +7,10 @@ a row of the point's multiples, built once per point with the affine
 law; on a domain that is exactly NIST P-256 (decided once per
 `CurveParams`), multiples of the base point come from OpenSSL;
 everything else runs a Jacobian double-and-add with 4-bit windows.  On
-such a tiny curve `point_add` and `decode_point` also compute each
-answer once, after the full check, and look it up afterwards.  Tests
-check all three paths against the affine law.
+such a tiny curve `point_add`, `decode_point` and the square roots of
+`hash_to_point` also compute each answer once, after the full check,
+and look it up afterwards.  Tests check all three paths against the
+affine law.
 Field inverses are Python's modular inverse `pow(x, -1, p)`, and a
 square root modulo p = 3 (mod 4) is one exponentiation plus a check.
 
@@ -215,14 +216,15 @@ class _TinyTables:
     made only after its inputs passed every check, and points compare by
     value, so a lookup skips no check that would fail: invalid input
     never enters and raises on every call.  At most #E rows of #E
-    multiples, #E^2 sums and #E decodings, #E < 290."""
+    multiples, #E^2 sums, #E decodings and p square roots, #E < 290."""
 
-    __slots__ = ("rows", "sums", "decodings")
+    __slots__ = ("rows", "sums", "decodings", "roots")
 
     def __init__(self):
         self.rows: dict[CurvePoint, list[CurvePoint]] = {}
         self.sums: dict[tuple[CurvePoint, CurvePoint], CurvePoint] = {}
         self.decodings: dict[bytes, CurvePoint] = {}
+        self.roots: dict[int, int | None] = {}  # c in [0, p) -> sqrt_mod(c, p)
 
 
 def _tiny(params: CurveParams) -> _TinyTables:
@@ -441,8 +443,7 @@ def hash_to_point(params: CurveParams, ident: bytes) -> CurvePoint:
         digest = hashlib.sha256(
             H1_TAG + ident + counter.to_bytes(4, "big")).digest()
         x = int.from_bytes(digest, "big") % params.p
-        rhs = (x * x * x + params.a * x + params.b) % params.p
-        y = sqrt_mod(rhs, params.p)
+        y = _field_sqrt(params, (x * x * x + params.a * x + params.b) % params.p)
         if y is None:
             continue
         y = min(y, params.p - y)
@@ -455,13 +456,24 @@ def hash_to_point(params: CurveParams, ident: bytes) -> CurvePoint:
     raise HashToPointFailure(f"no curve point found for {ident!r}")
 
 
+def _field_sqrt(params: CurveParams, c: int) -> int | None:
+    """sqrt_mod(c, p) for c in [0, p); on a curve with p < 2^8 each root
+    is computed once and then looked up."""
+    if params.p >= _TABLE_MAX_P:
+        return sqrt_mod(c, params.p)
+    roots = _tiny(params).roots
+    if c not in roots:
+        roots[c] = sqrt_mod(c, params.p)
+    return roots[c]
+
+
 def hash_to_scalar(params: CurveParams, domain_tag: bytes, parts: list[bytes]) -> int:
     """Map bytes to a scalar in [1, n-1] under a domain-separation tag."""
-    h = hashlib.sha256(domain_tag)
+    joined = [domain_tag]
     for part in parts:
-        h.update(len(part).to_bytes(4, "big"))
-        h.update(part)
-    return int.from_bytes(h.digest(), "big") % (params.order_n - 1) + 1
+        joined += (len(part).to_bytes(4, "big"), part)
+    digest = hashlib.sha256(b"".join(joined)).digest()
+    return int.from_bytes(digest, "big") % (params.order_n - 1) + 1
 
 
 # ---- oracles (small curves only) ------------------------------------------

@@ -87,12 +87,14 @@ class WorkloadSpec:
     freshness_window_ms: int = 600_000  # wide: queue delay is not staleness
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise ValueError("node_count must be >= 0")
+        # a zero retransmit timeout would send every retry at once
         for name in ("registration_rate", "auth_rate", "duration_s",
-                     "server_capacity"):
+                     "server_capacity", "retransmit_timeout_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("node_count", "max_retries", "freshness_window_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 DEFAULT_WORKLOAD = WorkloadSpec()

@@ -16,6 +16,7 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 
+from .crypto import KEY_LEN
 from .errors import (
     FogcaError,
     MalformedRecord,
@@ -41,7 +42,12 @@ class TrustState(enum.Enum):
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Canonical device description: all lists sorted and duplicate-free."""
+    """Canonical device description: all lists sorted and duplicate-free.
+
+    `compute_ivv` keeps the profile's digest as its `_ivv` attribute, so
+    it is computed at most once.  That attribute is not a field, so
+    equality, repr and the file form ignore it; it adds no more than the
+    digest's bytes to a profile."""
 
     device_id: bytes
     firmware_digest: bytes
@@ -127,8 +133,13 @@ def parse_profile(data: bytes) -> DeviceProfile:
 
 
 def compute_ivv(profile: DeviceProfile) -> bytes:
-    """Integrity verification value: digest over the canonical form."""
-    return hashlib.sha256(b"fogca.ivv" + serialize_profile(profile)).digest()
+    """Integrity verification value: digest over the canonical form,
+    computed at a profile's first call and stored with it."""
+    ivv = getattr(profile, "_ivv", None)
+    if ivv is None:
+        ivv = hashlib.sha256(b"fogca.ivv" + serialize_profile(profile)).digest()
+        object.__setattr__(profile, "_ivv", ivv)
+    return ivv
 
 
 @dataclass(frozen=True)
@@ -186,6 +197,12 @@ class AffinityRecord:
     since_ms: int = 0
 
 
+def _check_channel_key(channel_key: bytes) -> None:
+    if len(channel_key) != KEY_LEN:
+        raise ValueError(f"channel key must be {KEY_LEN} bytes, "
+                         f"not {len(channel_key)}")
+
+
 class AffinityStore:
     """Manufacturer-provided baselines plus per-device trust state.
 
@@ -198,6 +215,7 @@ class AffinityStore:
         self.events: list[CountermeasureEvent] = []
 
     def provision(self, profile: DeviceProfile, channel_key: bytes) -> None:
+        _check_channel_key(channel_key)
         self.records[profile.device_id] = AffinityRecord(profile, channel_key)
 
     def get(self, device_id: bytes) -> AffinityRecord:
@@ -259,8 +277,10 @@ class AffinityStore:
         def parse(fields):
             blob, key, trust, since = fields
             profile = parse_profile(bytes.fromhex(blob))
+            channel_key = bytes.fromhex(key)
+            _check_channel_key(channel_key)
             store.records[profile.device_id] = AffinityRecord(
-                profile, bytes.fromhex(key), TrustState(trust), int(since))
+                profile, channel_key, TrustState(trust), int(since))
 
         parse_records(lines, parse)
         return store

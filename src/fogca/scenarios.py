@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import authority, curve, wire
 from .child import ChildState
@@ -45,7 +46,11 @@ class ScenarioReport:
     notes: str = ""
 
 
+@lru_cache(maxsize=256)
 def device_profile(ident: bytes) -> DeviceProfile:
+    """The profile of device `ident`, built once while it is among the
+    last 256 asked for: a profile is frozen and keeps its digest, so
+    every rig that reuses an identity shares one and hashes it once."""
     return DeviceProfile.canonical(
         ident,
         hashlib.sha256(b"firmware:" + ident).digest(),

@@ -20,11 +20,11 @@ which is event order.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import wire
@@ -135,9 +135,13 @@ class TranscriptEntry:
     payload: bytes
 
     def json_line(self) -> str:
-        return json.dumps({"at": self.at, "src": self.src, "dst": self.dst,
-                           "action": self.action, "payload": self.payload.hex()},
-                          sort_keys=True)
+        """The entry as `json.dumps(..., sort_keys=True)` writes it, with
+        the payload in hex; the strings go through json's own escaper."""
+        return (f'{{"action": {encode_basestring_ascii(self.action)}, '
+                f'"at": {self.at:d}, '
+                f'"dst": {encode_basestring_ascii(self.dst)}, '
+                f'"payload": "{self.payload.hex()}", '
+                f'"src": {encode_basestring_ascii(self.src)}}}')
 
 
 class _Adversary:
@@ -176,10 +180,15 @@ class _Adversary:
 
 
 class Network:
-    """Event loop, topology, adversaries, and delivery accounting."""
+    """Event loop, topology, adversaries, and delivery accounting.
+
+    The generator of link loss and jitter is seeded from `seed` at its
+    first draw, so a network whose links never drop or jitter builds
+    none."""
 
     def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
+        self._seed = seed
+        self._rng: random.Random | None = None
         self.nodes: dict[str, str] = {}  # node id -> role
         self._adjacent: dict[str, dict[str, LinkSpec]] = {}  # src -> dst -> link
         self._routes: dict[tuple[str, str], tuple[LinkSpec, ...]] = {}
@@ -192,6 +201,12 @@ class Network:
         self.accounting: dict[str, int] = {
             "sent": 0, "adversary_created": 0, "delivered": 0,
             "dropped_link": 0, "dropped_adversary": 0}
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
 
     # ---- topology ----------------------------------------------------------
 

@@ -123,51 +123,58 @@ def _enc_box(box: SealedBox) -> bytes:
             + box.ciphertext + box.tag)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+# Decoding helpers: each reads one field of `data` at `pos` and returns
+# the field and the position after it, or raises DecodeError.
 
-    def take(self, k: int) -> bytes:
-        if self.pos + k > len(self.data):
-            raise DecodeError("truncated message")
-        out = self.data[self.pos:self.pos + k]
-        self.pos += k
-        return out
+def _take(data: bytes, pos: int, k: int) -> tuple[bytes, int]:
+    end = pos + k
+    if end > len(data):
+        raise DecodeError("truncated message")
+    return data[pos:end], end
 
-    def u8(self) -> int:
-        return self.take(1)[0]
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
+def _dec_varint(data: bytes, pos: int) -> tuple[int, int]:
+    raw, pos = _take(data, pos, 2)
+    raw, pos = _take(data, pos, int.from_bytes(raw, "big"))
+    return int.from_bytes(raw, "big"), pos
 
-    def varint(self) -> int:
-        n = int.from_bytes(self.take(2), "big")
-        return int.from_bytes(self.take(n), "big")
 
-    def identity(self) -> bytes:
-        n = self.u8()
-        if not 1 <= n <= MAX_IDENTITY_LEN:
-            raise DecodeError("bad identity length")
-        ident = self.take(n)
-        try:
-            ident.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("identity is not UTF-8") from exc
-        return ident
+def _dec_identity(data: bytes, pos: int) -> tuple[bytes, int]:
+    n, pos = _take(data, pos, 1)
+    if not 1 <= n[0] <= MAX_IDENTITY_LEN:
+        raise DecodeError("bad identity length")
+    ident, pos = _take(data, pos, n[0])
+    try:
+        ident.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError("identity is not UTF-8") from exc
+    return ident, pos
 
-    def point(self, params: curve.CurveParams) -> curve.CurvePoint:
-        n = self.u8()
-        return curve.decode_point(params, self.take(n))
 
-    def box(self) -> SealedBox:
-        nonce = self.take(BOX_NONCE_LEN)
-        clen = int.from_bytes(self.take(4), "big")
-        return SealedBox(nonce, self.take(clen), self.take(TAG_LEN))
+def _dec_point(params: curve.CurveParams, data: bytes,
+               pos: int) -> tuple[curve.CurvePoint, int]:
+    n, pos = _take(data, pos, 1)
+    raw, pos = _take(data, pos, n[0])
+    return curve.decode_point(params, raw), pos
 
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise DecodeError("trailing bytes after message")
+
+def _dec_u64(data: bytes, pos: int) -> tuple[int, int]:
+    raw, pos = _take(data, pos, 8)
+    return int.from_bytes(raw, "big"), pos
+
+
+def _dec_box(data: bytes, pos: int) -> tuple[SealedBox, int]:
+    nonce, pos = _take(data, pos, BOX_NONCE_LEN)
+    clen, pos = _take(data, pos, 4)
+    ciphertext, pos = _take(data, pos, int.from_bytes(clen, "big"))
+    tag, pos = _take(data, pos, TAG_LEN)
+    return SealedBox(nonce, ciphertext, tag), pos
+
+
+def _done(data: bytes, pos: int, msg: ProtocolMessage) -> ProtocolMessage:
+    if pos != len(data):
+        raise DecodeError("trailing bytes after message")
+    return msg
 
 
 def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> bytes:
@@ -224,65 +231,58 @@ def decode(data: bytes, params: curve.CurveParams | None = None) -> ProtocolMess
 def _decode(data: bytes, params: curve.CurveParams | None) -> ProtocolMessage:
     if not data:
         raise DecodeError("empty message")
-    r = _Reader(data)
-    tag = r.u8()
+    tag = data[0]
     if tag == TAG_ANNOUNCEMENT:
-        p, a, b = r.varint(), r.varint(), r.varint()
-        n, cofactor = r.varint(), r.varint()
+        p, pos = _dec_varint(data, 1)
+        a, pos = _dec_varint(data, pos)
+        b, pos = _dec_varint(data, pos)
+        n, pos = _dec_varint(data, pos)
+        cofactor, pos = _dec_varint(data, pos)
         if p < 2 or n < 2:
             raise DecodeError("bad announced field/order")
         # unvalidated shell: enough to parse fixed-width points, then
         # make_params re-checks everything including n * base == O
         shell = curve.CurveParams(p, a % p, b % p, curve.INFINITY, n, cofactor)
-        base = r.point(shell)
-        pub = r.point(shell)
+        base, pos = _dec_point(shell, data, pos)
+        pub, pos = _dec_point(shell, data, pos)
         if base.is_infinity:
             raise DecodeError("announced base point is infinity")
         try:
             cp = curve.make_params(p, a, b, base.x, base.y, n, cofactor)
         except ValueError as exc:
             raise DecodeError(f"invalid announced curve: {exc}") from exc
-        r.done()
-        return Announcement(cp, pub)
+        return _done(data, pos, Announcement(cp, pub))
     if tag == TAG_REG_REQUEST:
-        ident = r.identity()
-        r.done()
-        return RegistrationRequest(ident)
+        ident, pos = _dec_identity(data, 1)
+        return _done(data, pos, RegistrationRequest(ident))
     if tag == TAG_REG_RESPONSE:
-        box = r.box()
-        r.done()
-        return RegistrationResponse(box)
+        box, pos = _dec_box(data, 1)
+        return _done(data, pos, RegistrationResponse(box))
     if tag == TAG_AUTH_REQUEST:
         if params is None:
             raise DecodeError("curve params required to decode AuthRequest")
-        ident = r.identity()
-        blinded = r.point(params)
-        x_proof = r.point(params)
-        sent_at = r.u64()
-        r.done()
-        return AuthRequest(ident, blinded, x_proof, sent_at)
+        ident, pos = _dec_identity(data, 1)
+        blinded, pos = _dec_point(params, data, pos)
+        x_proof, pos = _dec_point(params, data, pos)
+        sent_at, pos = _dec_u64(data, pos)
+        return _done(data, pos, AuthRequest(ident, blinded, x_proof, sent_at))
     if tag == TAG_AUTH_RESPONSE:
         if params is None:
             raise DecodeError("curve params required to decode AuthResponse")
-        blinded = r.point(params)
-        key_check = r.point(params)
-        sent_at = r.u64()
-        r.done()
-        return AuthResponse(blinded, key_check, sent_at)
-    if tag == TAG_PEER_INIT:
-        msg = PeerInit(r.box(), r.box())
-        r.done()
-        return msg
-    if tag == TAG_PEER_RELAY:
-        msg = PeerRelay(r.box(), r.box())
-        r.done()
-        return msg
-    if tag == TAG_PEER_CHALLENGE:
-        msg = PeerChallenge(r.box(), r.box())
-        r.done()
-        return msg
+        blinded, pos = _dec_point(params, data, 1)
+        key_check, pos = _dec_point(params, data, pos)
+        sent_at, pos = _dec_u64(data, pos)
+        return _done(data, pos, AuthResponse(blinded, key_check, sent_at))
+    two_boxes = _TWO_BOX_MESSAGES.get(tag)
+    if two_boxes is not None:
+        first, pos = _dec_box(data, 1)
+        second, pos = _dec_box(data, pos)
+        return _done(data, pos, two_boxes(first, second))
     if tag == TAG_PEER_PROOF:
-        msg = PeerProof(r.box())
-        r.done()
-        return msg
+        box, pos = _dec_box(data, 1)
+        return _done(data, pos, PeerProof(box))
     raise DecodeError(f"unknown message tag {tag:#04x}")
+
+
+_TWO_BOX_MESSAGES = {TAG_PEER_INIT: PeerInit, TAG_PEER_RELAY: PeerRelay,
+                     TAG_PEER_CHALLENGE: PeerChallenge}

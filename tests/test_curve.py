@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -450,7 +451,44 @@ class TestTinyCurveTables:
         G = prod.base_point
         curve.point_add(prod, G, G)
         curve.decode_point(prod, curve.encode_point(prod, G))
+        curve.hash_to_point(prod, b"cam-01")
         assert not hasattr(prod, "_tiny")
+
+    @pytest.mark.parametrize("domain", TINY_DOMAINS)
+    def test_every_root_matches_sqrt_mod(self, domain):
+        params = curve.make_params(**domain)
+        for _ in range(2):  # computed, then looked up
+            for c in range(params.p):
+                assert curve._field_sqrt(params, c) == \
+                    curve.sqrt_mod(c, params.p), c
+        assert len(params._tiny.roots) == params.p
+
+    @pytest.mark.parametrize("domain", TINY_DOMAINS)
+    def test_hash_to_point_matches_untabled_reference(self, domain):
+        params = curve.make_params(**domain)
+        rng = random.Random(29)
+        for _ in range(200):
+            ident = rng.randbytes(rng.randint(1, 12))
+            assert curve.hash_to_point(params, ident) == \
+                untabled_hash_to_point(params, ident), ident
+        assert set(params._tiny.roots) <= set(range(params.p))
+
+
+def untabled_hash_to_point(params, ident):
+    """hash_to_point's try-and-increment with every root from sqrt_mod
+    and the cofactor applied by repeated addition."""
+    for counter in range(1000):
+        digest = hashlib.sha256(
+            curve.H1_TAG + ident + counter.to_bytes(4, "big")).digest()
+        x = int.from_bytes(digest, "big") % params.p
+        y = curve.sqrt_mod(x ** 3 + params.a * x + params.b, params.p)
+        if y is None:
+            continue
+        pt = repeated_addition(params, params.cofactor,
+                               curve.CurvePoint(x, min(y, params.p - y)))
+        if not pt.is_infinity:
+            return pt
+    raise AssertionError("no point")
 
 
 class TestPointType:

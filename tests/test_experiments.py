@@ -41,6 +41,17 @@ class TestWorkload:
         with pytest.raises(ValueError):
             ex.WorkloadSpec(auth_rate=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("retransmit_timeout_ms", -5), ("retransmit_timeout_ms", 0),
+        ("max_retries", -1), ("freshness_window_ms", -1)])
+    def test_timings_that_break_a_run_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ex.WorkloadSpec(**{field: value})
+
+    def test_zero_retries_and_window_accepted(self):
+        spec = ex.WorkloadSpec(max_retries=0, freshness_window_ms=0)
+        assert (spec.max_retries, spec.freshness_window_ms) == (0, 0)
+
 
 class TestLinkProfiles:
     def test_default_profile_frozen_numbers(self):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +106,48 @@ class TestIvv:
         assert len(seen) == 27
 
 
+class TestStoredIvv:
+    """A profile's digest is computed at its first `compute_ivv` and
+    kept; a changed copy is a new profile with a digest of its own."""
+
+    @staticmethod
+    def fresh(p):
+        return hashlib.sha256(b"fogca.ivv" + serialize_profile(p)).digest()
+
+    def test_stored_value_is_the_digest(self):
+        p = profile()
+        assert compute_ivv(p) == compute_ivv(p) == self.fresh(p)
+        assert compute_ivv(p).hex() == IVV_GOLDEN
+
+    @pytest.mark.parametrize("fieldname", integrity.PROFILE_FIELDS)
+    def test_changed_copies_digest_afresh(self, fieldname):
+        p = profile()
+        compute_ivv(p)
+        bumped = perturb_profile(p, fieldname)
+        assert compute_ivv(bumped) == self.fresh(bumped) != compute_ivv(p)
+        renamed = replace(p, device_id=b"other")
+        assert compute_ivv(renamed) == self.fresh(renamed)
+        parsed = integrity.parse_profile(serialize_profile(bumped))
+        assert compute_ivv(parsed) == compute_ivv(bumped)
+
+    def test_not_a_field(self):
+        p = profile()
+        compute_ivv(p)
+        assert p == profile() and repr(p) == repr(profile())
+        assert "_ivv" not in {f.name for f in fields(DeviceProfile)}
+
+    def test_registration_with_the_baseline_as_report_digests_once(
+            self, toy_rig, monkeypatch):
+        serialized = []
+        real = integrity.serialize_profile
+        monkeypatch.setattr(integrity, "serialize_profile",
+                            lambda p: serialized.append(p) or real(p))
+        ident = b"digest-once"
+        toy_rig.register(ident)
+        assert toy_rig.profiles[ident] is toy_rig.store.get(ident).profile
+        assert len(serialized) <= 1
+
+
 class TestCountermeasures:
     def test_mismatch_quarantines_by_default(self):
         bad = integrity.IvvVerdict(False, ("os_digest",))
@@ -167,6 +210,14 @@ class TestAffinityStore:
         assert store.get(b"dev").trust is TrustState.QUARANTINED
         assert store.events and store.events[-1].action == "quarantine"
         assert store.events[-1].at_ms == 44
+
+    @pytest.mark.parametrize("length", [0, 16, 31, 33])
+    def test_provision_refuses_a_channel_key_of_the_wrong_length(self,
+                                                                 length):
+        store = AffinityStore()
+        with pytest.raises(ValueError, match="32 bytes"):
+            store.provision(profile(), b"\x01" * length)
+        assert store.records == {}
 
     def test_unknown_device(self):
         store = AffinityStore()
@@ -322,6 +373,12 @@ class TestPersistence:
         with pytest.raises(MalformedRecord, match="^line 2: "):
             state.load_records(["REG 61 00 0 -", bad])
         assert state.registry == {} and state.is_revoked(b"b")
+
+    def test_short_channel_key_line_names_its_number(self):
+        good = _affinity_line(serialize_profile(profile(b"ok")))
+        short = f"{serialize_profile(profile()).hex()} {'01' * 16} trusted 0"
+        with pytest.raises(MalformedRecord, match="^line 2: .*32 bytes"):
+            AffinityStore.from_lines([good, short])
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         store = AffinityStore()

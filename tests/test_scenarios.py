@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from fogca import curve, scenarios, wire
-from fogca.crypto import seal
+from fogca import curve, integrity, scenarios, wire
+from fogca.crypto import ManualClock, seal
 from fogca.integrity import TrustState, perturb_profile
 from fogca.simnet import AdversaryPolicy, Drop, Duplicate, Inject, Modify, Rule
 
@@ -65,6 +65,21 @@ class TestGalleryPinned:
                     digest.update(report.transcript_jsonl.encode())
         assert digest.hexdigest() == (
             "44a35d67fdb4ebe2cd91e2d12662edb44e3540113cc6d779f6cb21e23b5e1645")
+
+
+class TestDeviceProfile:
+    def test_rigs_share_one_profile_per_identity(self, monkeypatch):
+        serialized = []
+        real = integrity.serialize_profile
+        monkeypatch.setattr(integrity, "serialize_profile",
+                            lambda p: serialized.append(p) or real(p))
+        ident = b"shared-profile"
+        rigs = [scenarios.Fleet(curve.toy17(), random.Random(seed),
+                                ManualClock()) for seed in range(3)]
+        for rig in rigs:
+            rig.register(ident)
+        assert len({id(rig.profiles[ident]) for rig in rigs}) == 1
+        assert len(serialized) == 1
 
 
 class TestRunScenario:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from fogca.simnet import (
     Replay,
     Rule,
     SimClock,
+    TranscriptEntry,
 )
 
 
@@ -301,7 +304,49 @@ class TestDeterminism:
             "5a5456edbc8f6a1ae8603c8dcdecffc682b8ecd73680154de7d2984b266f91be")
 
 
+class TestTranscriptLine:
+    @given(at=st.integers(), src=st.text(), dst=st.text(),
+           action=st.text(), payload=st.binary())
+    @settings(max_examples=300, deadline=None)
+    def test_json_line_is_json_dumps(self, at, src, dst, action, payload):
+        entry = TranscriptEntry(at, src, dst, action, payload)
+        assert entry.json_line() == json.dumps(
+            {"at": at, "src": src, "dst": dst, "action": action,
+             "payload": payload.hex()}, sort_keys=True)
+
+    def test_escapes_quotes_controls_and_surrogates(self):
+        text = 'a"b\\c\x00\n\x7f\u00e9\U0001f600\ud800'
+        entry = TranscriptEntry(-3, text, text, text, b"\x00\xff")
+        assert entry.json_line() == json.dumps(
+            {"at": -3, "src": text, "dst": text, "action": text,
+             "payload": "00ff"}, sort_keys=True)
+
+
 class TestEventLoop:
+    def test_lossless_jitter_free_network_builds_no_generator(
+            self, monkeypatch):
+        built = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simnet.random, "Random", Counted)
+        net = triangle(seed=5)
+        net.attach_adversary(("a", "p"),
+                             AdversaryPolicy(frozenset({"eavesdrop"})))
+        deliveries = record_deliveries(net)
+        for i in range(10):
+            net.send("a", "b", bytes([i]), at=i)
+        net.run()
+        assert len(deliveries) == 10 and built == []
+        # the first draw seeds the generator from the network's seed
+        jittered = triangle(seed=5, jitter=2)
+        jittered.send("a", "b", b"x")
+        jittered.run()
+        assert built == [(5,)]
+
     def test_plain_hops_skip_the_adversary_path(self, monkeypatch):
         watched = []
         real = Network._traverse

@@ -118,6 +118,23 @@ class TestErrors:
             wire.decode(old)
 
 
+class TestExactLength:
+    """Every field's length is known from the bytes before it, so a
+    message decodes only at exactly its own length."""
+
+    @pytest.mark.parametrize("preset", ["toy17", "prod256"])
+    def test_prefixes_and_extensions_refused(self, preset):
+        params = curve.load_preset(preset)
+        for msg in sample_messages(params):
+            blob = wire.encode(msg, params)
+            for cut in range(len(blob)):
+                with pytest.raises(DecodeError):
+                    wire.decode(blob[:cut], params)
+            for extra in range(256):
+                with pytest.raises(DecodeError):
+                    wire.decode(blob + bytes([extra]), params)
+
+
 class TestSealedBox:
     def test_wire_form_roundtrip(self):
         rng = random.Random(6)
