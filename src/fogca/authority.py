@@ -20,6 +20,7 @@ from .crypto import (
     derive_session_key,
     open_box,
     seal,
+    timestamp_bytes,
 )
 from .errors import (
     AuthFailure,
@@ -186,7 +187,7 @@ class AuthorityState:
             ident_point = record.ident_point = curve.hash_to_point(
                 params, req.child_id)
         t1 = curve.hash_to_scalar(params, curve.H2_TAG,
-                                  [req.sent_at.to_bytes(8, "big")])
+                                  [timestamp_bytes(req.sent_at)])
         # recover the client's random point: M_C - t1 * (private * Q_id)
         mask = curve.scalar_mul(params, t1 * self.private_key, ident_point)
         recovered = curve.point_sub(params, req.blinded, mask)
@@ -201,7 +202,7 @@ class AuthorityState:
         server_scalar = curve.random_scalar(params, self.rng)
         server_point = curve.scalar_mul(params, server_scalar, params.base_point)
         t2 = curve.hash_to_scalar(params, curve.H2_TAG,
-                                  [t2_ms.to_bytes(8, "big")])
+                                  [timestamp_bytes(t2_ms)])
         blinded = curve.point_add(
             params, server_point,
             curve.scalar_mul(params, t2 * self.private_key, ident_point))

@@ -19,6 +19,7 @@ from .crypto import (
     new_symmetric_key,
     open_box,
     seal,
+    timestamp_bytes,
 )
 from .errors import (
     AuthFailure,
@@ -61,6 +62,7 @@ class ChildState:
         self.clock = clock if clock is not None else ManualClock()
         self.freshness_window_ms = freshness_window_ms
         self.auth_key: curve.CurvePoint | None = None
+        self.confirming = False  # auth_key not yet proven by a handshake
         self._ident_point: curve.CurvePoint | None = None  # H1(ident), once
         self.ca_session: tuple[int, bytes] | None = None
         self.peer_sessions: dict[bytes, bytes] = {}
@@ -86,6 +88,7 @@ class ChildState:
         if point.is_infinity:
             raise AuthFailure("auth key is the point at infinity")
         self.auth_key = point
+        self.confirming = True
         return point
 
     def confirm_auth_key(self, resp: RegistrationResponse,
@@ -96,12 +99,16 @@ class ChildState:
         authority's AuthResponse).  Returns the confirmed session key."""
         self.install_auth_key(resp)
         try:
-            session_key = self.auth_finish(roundtrip(self.auth_init()))
+            return self.auth_finish(roundtrip(self.auth_init()))
         except FogcaError as exc:
-            self.auth_key = None
-            self.ca_session = None
+            self.handshake_failed()
             raise ConfirmationFailure(f"confirmation round failed: {exc}") from exc
-        return session_key
+
+    def handshake_failed(self) -> None:
+        """Drop a key still awaiting confirmation, and its CA session."""
+        if self.confirming:
+            self.auth_key = self.ca_session = None
+            self.confirming = False
 
     # ---- mutual authentication (initiator) ----------------------------------
 
@@ -130,7 +137,7 @@ class ChildState:
         random_point = curve.scalar_mul(params, r, params.base_point)
         sent_at = self.clock.now()
         t1 = curve.hash_to_scalar(params, curve.H2_TAG,
-                                  [sent_at.to_bytes(8, "big")])
+                                  [timestamp_bytes(sent_at)])
         blinded = curve.point_add(
             params, random_point,
             curve.scalar_mul(params, t1, self.auth_key))
@@ -152,7 +159,7 @@ class ChildState:
         if not check_freshness(resp.sent_at, now, self.freshness_window_ms):
             raise StaleTimestamp(f"T2={resp.sent_at} vs now={now}")
         t2 = curve.hash_to_scalar(params, curve.H2_TAG,
-                                  [resp.sent_at.to_bytes(8, "big")])
+                                  [timestamp_bytes(resp.sent_at)])
         server_point = curve.point_sub(
             params, resp.blinded,
             curve.scalar_mul(params, t2, self.auth_key))
@@ -169,6 +176,7 @@ class ChildState:
         if check != resp.key_check:
             raise KeyMismatch("key-confirmation point does not verify")
         self.ca_session = (k_scalar, key)
+        self.confirming = False
         return key
 
     # ---- peer key agreement (both roles) -------------------------------------

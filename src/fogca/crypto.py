@@ -18,7 +18,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .curve import H3_TAG, CurveParams, hash_to_scalar
-from .errors import AuthFailure, WidthMismatch
+from .errors import AuthFailure, TimestampOutOfRange, WidthMismatch
 
 KEY_LEN = 32
 NONCE_LEN = 16
@@ -92,6 +92,14 @@ def check_freshness(sent_ms: int, now_ms: int, window_ms: int) -> bool:
     """Accept iff the message is not from the future and not older than
     the window."""
     return 0 <= now_ms - sent_ms <= window_ms
+
+
+def timestamp_bytes(ms: int) -> bytes:
+    """The 8-byte big-endian form in which a timestamp is hashed and sent;
+    refuses a value outside 0..2^64-1."""
+    if not 0 <= ms < 1 << 64:
+        raise TimestampOutOfRange(f"timestamp {ms} ms is outside 0..2^64-1")
+    return ms.to_bytes(8, "big")
 
 
 class ManualClock:

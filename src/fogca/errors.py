@@ -73,6 +73,11 @@ class StaleTimestamp(FogcaError):
     """Message timestamp is outside the freshness window."""
 
 
+class TimestampOutOfRange(FogcaError):
+    """A clock reading is not an unsigned 64-bit millisecond count, the
+    only timestamps the protocol hashes and the wire carries."""
+
+
 class ReplayDetected(FogcaError):
     """Identical (identity, timestamp) pair was already accepted."""
 

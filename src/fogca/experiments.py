@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -33,7 +34,7 @@ import numpy as np
 from . import authority, curve, wire
 from .child import ChildState
 from .errors import FogcaError, UnknownProfile
-from .hosts import answer
+from .hosts import answer, respond
 from .scenarios import Fleet
 from .simnet import Network, SimClock
 
@@ -214,31 +215,35 @@ class _QueuedServer:
 
 @dataclass
 class _Txn:
-    kind: str              # "registration" | "auth"
+    reply: type            # RegistrationResponse | AuthResponse
     dest: str              # server node id
     payload: bytes
+    state: ChildState      # the state that the reply is run on
     first_sent: int = 0
     completed_at: int | None = None
     retries: int = 0
-    handshake: ChildState | None = None
 
 
 class _Device:
     """One thing node: issues its registration and auth transactions at
     scheduled times, retransmits the same bytes on timeout, and matches
-    responses to transactions in per-server FIFO order."""
+    responses to transactions in per-server FIFO order.
+
+    A registration installs the issued key and completes without the
+    key-confirmation round that `ChildHost` and `Fleet.register` run, so
+    the registration delay leaves out one handshake: a model choice."""
 
     def __init__(self, base: ChildState, workload: WorkloadSpec, pick_server):
         self.base = base
         self.node_id = base.ident.decode()
         self.workload = workload
         self.pick_server = pick_server
-        # transactions sent per (server, kind), in send order; those
-        # answered through another server are dropped on reaching the front
-        self.outstanding: dict[tuple[str, str], deque[_Txn]] = {}
+        # transactions sent per (server, awaited response type), in send
+        # order; those answered through another server are dropped on
+        # reaching the front
+        self.outstanding: dict[tuple[str, type], deque[_Txn]] = {}
         self.deferred_auths = 0
         self.stats: list[_Txn] = []
-        self.retransmissions = 0
 
     def attach(self, net: Network) -> None:
         net.set_handler(self.node_id, self.on_delivery)
@@ -263,7 +268,6 @@ class _Device:
         if txn.completed_at is not None:
             return
         txn.retries += 1
-        self.retransmissions += 1
         # identical bytes, but the retry re-picks its CA instance: the
         # shared registry/replay-cache makes either server answer it
         # correctly, and a fog retry rescues a cloud-queued transaction
@@ -275,7 +279,8 @@ class _Device:
 
     def start_registration(self, net: Network, dest: str) -> None:
         payload = wire.encode(self.base.request_registration())
-        self.send_txn(net, _Txn("registration", dest, payload))
+        self.send_txn(net, _Txn(wire.RegistrationResponse, dest, payload,
+                                self.base))
 
     def start_auth(self, net: Network, dest: str) -> None:
         base = self.base
@@ -285,38 +290,29 @@ class _Device:
             return
         handshake = base.handshake()
         payload = wire.encode(handshake.auth_init(), base.params)
-        self.send_txn(net, _Txn("auth", dest, payload, handshake=handshake))
+        self.send_txn(net, _Txn(wire.AuthResponse, dest, payload, handshake))
 
     # -- receiving -------------------------------------------------------------
 
     def on_delivery(self, net: Network, event) -> None:
         try:
             msg = wire.decode(event.payload, self.base.params)
+            # a message no transaction awaits is refused, consuming none
+            txn = self._pop(event.src, type(msg))
+            if txn is None:
+                return
+            respond(txn.state, event.src, msg)
         except FogcaError:
-            return
-        if isinstance(msg, wire.RegistrationResponse):
-            txn = self._pop(event.src, "registration")
-            if txn is None:
-                return
-            self.base.install_auth_key(msg)
-            txn.completed_at = net.now
-            self._release_deferred(net)
-        elif isinstance(msg, wire.AuthResponse):
-            txn = self._pop(event.src, "auth")
-            if txn is None:
-                return
-            try:
-                txn.handshake.auth_finish(msg)
-            except FogcaError:
-                return  # leaves the transaction incomplete
-            txn.completed_at = net.now
+            return  # a refused response leaves its transaction incomplete
+        txn.completed_at = net.now
+        self._release_deferred(net)  # none are held once registered
 
     def _expect(self, server: str, txn: _Txn) -> None:
-        self.outstanding.setdefault((server, txn.kind), deque()).append(txn)
+        self.outstanding.setdefault((server, txn.reply), deque()).append(txn)
 
-    def _pop(self, server: str, kind: str) -> _Txn | None:
-        """The oldest unanswered `kind` transaction sent to `server`."""
-        queue = self.outstanding.get((server, kind))
+    def _pop(self, server: str, reply: type) -> _Txn | None:
+        """The oldest unanswered transaction awaiting `reply` from `server`."""
+        queue = self.outstanding.get((server, reply))
         while queue:
             txn = queue.popleft()
             if txn.completed_at is None:
@@ -374,12 +370,11 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
         dev.attach(net)
 
     decoded = {}  # one logical CA: both instances share decoded requests
+    cloud_capacity = workload.server_capacity * profile.cloud_capacity_scale
     fog = _QueuedServer("fog-ca", fleet.authority, workload.server_capacity,
                         fleet.profiles, decoded)
-    cloud = _QueuedServer(
-        "cloud-ca", fleet.authority,
-        workload.server_capacity * profile.cloud_capacity_scale,
-        fleet.profiles, decoded)
+    cloud = _QueuedServer("cloud-ca", fleet.authority, cloud_capacity,
+                          fleet.profiles, decoded)
     fog.attach(net)
     cloud.attach(net)
 
@@ -397,12 +392,10 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
         dest = pick_server()
         net.call_at(reg_at, lambda n_, d=dev, s=dest: d.start_registration(n_, s))
         phase = auth_period_ms * (i + 0.5) / n
-        k = 0
-        while True:
+        for k in itertools.count():
             at = int(reg_at + phase + k * auth_period_ms)
             if at >= duration_ms:
                 break
-            k += 1
             dest = pick_server()
             net.call_at(at, lambda n_, d=dev, s=dest: d.start_auth(n_, s))
 
@@ -411,26 +404,24 @@ def run_experiment(setting: PlacementSetting, workload: WorkloadSpec,
     # net); dropping them frees the run at return, not at a full gc pass
     net.handlers.clear()
 
-    reg_delays, auth_delays, incomplete = [], [], 0
-    retransmissions = 0
+    delays = {wire.RegistrationResponse: [], wire.AuthResponse: []}
+    incomplete = retransmissions = 0
     for dev in devices:
-        retransmissions += dev.retransmissions
         for txn in dev.stats:
+            retransmissions += txn.retries
             if txn.completed_at is None:
                 incomplete += 1
-                continue
-            delay = txn.completed_at - txn.first_sent
-            (reg_delays if txn.kind == "registration" else auth_delays).append(delay)
+            else:
+                delays[txn.reply].append(txn.completed_at - txn.first_sent)
 
     span_s = workload.duration_s
     return DelayStats(
-        registration=TxnStats.from_delays(reg_delays),
-        auth=TxnStats.from_delays(auth_delays),
+        registration=TxnStats.from_delays(delays[wire.RegistrationResponse]),
+        auth=TxnStats.from_delays(delays[wire.AuthResponse]),
         retransmission_count=retransmissions,
         cloud_tasks=cloud.tasks,
         fog_tasks=fog.tasks,
-        cloud_utilization_pct=100.0 * cloud.tasks / (
-            workload.server_capacity * profile.cloud_capacity_scale * span_s),
+        cloud_utilization_pct=100.0 * cloud.tasks / (cloud_capacity * span_s),
         fog_utilization_pct=100.0 * fog.tasks / (
             workload.server_capacity * span_s),
         incomplete=incomplete)

@@ -2,12 +2,12 @@
 
 A host owns a protocol state (authority or child) and reacts to each
 delivered payload: decode, run the matching operation, send the reply.
-`answer` is the one authority dispatcher; it takes a decoded request, so
-a caller that serves the same bytes again can decode them once.
-Refusals never cross the wire; they are recorded as verdicts on the
-refusing side, which is what the attack scenarios assert on.  A child
-drops a provisionally installed key only when the confirmation
-`AuthResponse` fails; any other message refused meanwhile leaves it.
+`answer` is the one authority dispatcher and `respond` the one child
+dispatcher; both take a decoded message, so bytes served again are
+decoded once.  Refusals never cross the wire; they are recorded as
+verdicts on the refusing side, which is what the attack scenarios
+assert on.  Whether an issued key awaits its confirmation is the
+child's own state, `ChildState.confirming`.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -50,6 +50,31 @@ def answer(state: AuthorityState, profiles, src: str,
     raise UnexpectedMessage(type(msg).__name__)
 
 
+def respond(state: ChildState, src: str,
+            msg: wire.ProtocolMessage) -> tuple[str, bytes] | None:
+    """Run the child operation for a decoded message from `src`: return
+    (destination node, encoded reply) or None, or raise FogcaError."""
+    if isinstance(msg, wire.RegistrationResponse):
+        state.install_auth_key(msg)
+    elif isinstance(msg, wire.AuthResponse):
+        try:
+            state.auth_finish(msg)
+        except FogcaError:
+            state.handshake_failed()
+            raise
+    elif isinstance(msg, wire.PeerRelay):
+        initiator, challenge = state.peer_respond(msg)
+        return initiator.decode(), wire.encode(challenge, state.params)
+    elif isinstance(msg, wire.PeerChallenge):
+        peer_id, proof = state.peer_accept(msg)
+        return peer_id.decode(), wire.encode(proof, state.params)
+    elif isinstance(msg, wire.PeerProof):
+        state.peer_verify(msg, src.encode())
+    else:
+        raise UnexpectedMessage(type(msg).__name__)
+    return None
+
+
 class AuthorityHost:
     """Drives an AuthorityState on one network node."""
 
@@ -80,14 +105,13 @@ class ChildHost:
         self.node_id = node_id
         self.state = state
         self.authority_node = authority_node
-        self.confirming = False
         self.established: list[bytes] = []
         self.verdicts: list[Verdict] = []
 
     @property
     def registered(self) -> bool:
         """A key is held and no confirmation of it is pending."""
-        return self.state.auth_key is not None and not self.confirming
+        return self.state.auth_key is not None and not self.state.confirming
 
     def attach(self, net: Network) -> None:
         net.set_handler(self.node_id, self.handle)
@@ -111,38 +135,15 @@ class ChildHost:
     def handle(self, net: Network, event: SimEvent) -> None:
         try:
             msg = wire.decode(event.payload, self.state.params)
-        except FogcaError as exc:
-            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
-            return
-        try:
-            if isinstance(msg, wire.RegistrationResponse):
-                self.state.install_auth_key(msg)
-                self.confirming = True
-                self.start_auth(net)
+            reply = respond(self.state, event.src, msg)
+            if reply is not None:
+                net.send(self.node_id, *reply)
+            elif isinstance(msg, wire.RegistrationResponse):
+                self.start_auth(net)  # the key-confirmation round
             elif isinstance(msg, wire.AuthResponse):
-                self.state.auth_finish(msg)
-                self.confirming = False
                 self.verdicts.append(Verdict("key-agreement", "OK"))
-            elif isinstance(msg, wire.PeerRelay):
-                initiator, challenge = self.state.peer_respond(msg)
-                net.send(self.node_id, initiator.decode(),
-                         wire.encode(challenge, self.state.params))
-            elif isinstance(msg, wire.PeerChallenge):
-                peer_id, proof = self.state.peer_accept(msg)
-                net.send(self.node_id, peer_id.decode(),
-                         wire.encode(proof, self.state.params))
-            elif isinstance(msg, wire.PeerProof):
-                from_id = event.src.encode()
-                self.state.peer_verify(msg, from_id)
-                self.established.append(from_id)
+            else:  # a PeerProof, the last message respond accepts silently
+                self.established.append(event.src.encode())
                 self.verdicts.append(Verdict("peer-established", event.src))
-            else:
-                self.verdicts.append(Verdict("UnexpectedMessage",
-                                             type(msg).__name__))
         except FogcaError as exc:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
-            if self.confirming and isinstance(msg, wire.AuthResponse):
-                # the issued key failed its confirmation round
-                self.confirming = False
-                self.state.auth_key = None
-                self.state.ca_session = None

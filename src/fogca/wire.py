@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import curve
-from .crypto import BOX_NONCE_LEN, TAG_LEN, SealedBox
+from .crypto import BOX_NONCE_LEN, TAG_LEN, SealedBox, timestamp_bytes
 from .errors import DecodeError
 
 TAG_ANNOUNCEMENT = 0x01
@@ -178,7 +178,8 @@ def _done(data: bytes, pos: int, msg: ProtocolMessage) -> ProtocolMessage:
 
 
 def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> bytes:
-    """Serialize a protocol message; point-bearing variants need params."""
+    """Serialize a protocol message; point-bearing variants need params.
+    A `sent_at` outside 0..2^64-1 raises TimestampOutOfRange."""
     if isinstance(msg, Announcement):
         cp = msg.params
         return b"".join([
@@ -196,13 +197,13 @@ def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> byt
         return (bytes([TAG_AUTH_REQUEST]) + _enc_identity(msg.child_id)
                 + _enc_point(params, msg.blinded)
                 + _enc_point(params, msg.x_proof)
-                + msg.sent_at.to_bytes(8, "big"))
+                + timestamp_bytes(msg.sent_at))
     if isinstance(msg, AuthResponse):
         if params is None:
             raise ValueError("curve params required to encode AuthResponse")
         return (bytes([TAG_AUTH_RESPONSE]) + _enc_point(params, msg.blinded)
                 + _enc_point(params, msg.key_check)
-                + msg.sent_at.to_bytes(8, "big"))
+                + timestamp_bytes(msg.sent_at))
     if isinstance(msg, PeerInit):
         return (bytes([TAG_PEER_INIT]) + _enc_box(msg.peer_box)
                 + _enc_box(msg.key_box))

@@ -16,6 +16,7 @@ from fogca.errors import (
     Revoked,
     StaleTimestamp,
     TargetRevoked,
+    TimestampOutOfRange,
     UnknownDevice,
     UnknownId,
 )
@@ -194,6 +195,15 @@ class TestAuthRequest:
                                   req.sent_at + 500)
         with pytest.raises(StaleTimestamp):
             toy_rig.authority.handle_auth_request(skewed)
+
+    def test_negative_timestamp_refused(self, toy_rig):
+        # fresh by the window's arithmetic, but outside the timestamp domain
+        child = toy_rig.register(b"cam-01")
+        req = child.auth_init()
+        skewed = wire.AuthRequest(req.child_id, req.blinded, req.x_proof, -1)
+        with pytest.raises(TimestampOutOfRange):
+            toy_rig.authority.handle_auth_request(skewed)
+        assert (b"cam-01", -1) not in toy_rig.authority.replay_cache
 
     def test_forged_auth_key_rejected(self, prod_rig):
         prod_rig.register(b"cam-01")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fogca import curve, wire
-from fogca.crypto import seal
+from fogca.crypto import ManualClock, seal
 from fogca.errors import (
     AuthFailure,
     ConfirmationFailure,
@@ -14,6 +14,7 @@ from fogca.errors import (
     NoPendingChallenge,
     NotRegistered,
     StaleTimestamp,
+    TimestampOutOfRange,
 )
 
 from fogca.scenarios import build_rig
@@ -59,6 +60,29 @@ class TestRegistrationConfirmation:
             child.confirm_auth_key(forged_resp,
                                    toy_rig.authority.handle_auth_request)
         assert child.auth_key is None and child.ca_session is None
+        assert not child.confirming
+
+    @pytest.mark.parametrize("now", [-1, 2**64])
+    def test_clock_outside_u64_fails_confirmation(self, toy_rig, now):
+        child = toy_rig.provision(b"cam-01")
+        resp = toy_rig.authority.register_child(
+            child.request_registration(), toy_rig.profiles[b"cam-01"])
+        child.clock = ManualClock(now)
+        with pytest.raises(ConfirmationFailure) as info:
+            child.confirm_auth_key(resp, toy_rig.authority.handle_auth_request)
+        assert isinstance(info.value.__cause__, TimestampOutOfRange)
+        assert child.auth_key is None and not child.confirming
+
+    def test_failed_handshake_keeps_a_confirmed_key(self, toy_rig):
+        child = toy_rig.register(b"cam-01")
+        key, session = child.auth_key, child.ca_session
+        toy_rig.clock.advance(3)
+        resp = toy_rig.authority.handle_auth_request(child.auth_init())
+        child.clock = ManualClock(10**6)  # the response arrives stale
+        with pytest.raises(StaleTimestamp):
+            child.auth_finish(resp)
+        child.handshake_failed()
+        assert (child.auth_key, child.ca_session) == (key, session)
 
     def test_garbage_key_payload(self, toy_rig):
         child = toy_rig.provision(b"cam-01")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fogca import crypto
-from fogca.errors import AuthFailure, WidthMismatch
+from fogca.errors import AuthFailure, TimestampOutOfRange, WidthMismatch
 
 TOY_DERIVE_123 = (4, "613b5ae2930fe8d594ffbc3bf5ae4255fb5aeb3d6e38907fa8e8dbeb6db9d6d9")
 TOY_DERIVE_213 = (16, "4701ff5fc6f502054aa80dd4657e31124da6cfe1f886bf608aeb8c5933e94cdf")
@@ -95,6 +95,17 @@ class TestFreshness:
     def test_replayed_old_timestamp_rejected(self):
         # an old transcript's timestamp far in the past never verifies
         assert not crypto.check_freshness(5_000, 60_000, 2000)
+
+
+class TestTimestampBytes:
+    @pytest.mark.parametrize("ms", [0, 1, 2**64 - 1])
+    def test_unsigned_64_bit_values_encoded(self, ms):
+        assert crypto.timestamp_bytes(ms) == ms.to_bytes(8, "big")
+
+    @pytest.mark.parametrize("ms", [-1, -50, 2**64, 2**70])
+    def test_out_of_range_refused(self, ms):
+        with pytest.raises(TimestampOutOfRange):
+            crypto.timestamp_bytes(ms)
 
 
 class TestManualClock:

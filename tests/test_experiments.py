@@ -7,7 +7,9 @@ import pytest
 
 from fogca import authority, curve, wire
 from fogca import experiments as ex
+from fogca.crypto import seal
 from fogca.errors import UnknownDevice, UnknownProfile
+from fogca.scenarios import Fleet
 from fogca.simnet import Network, SimClock
 
 # small, fast workload for functional tests; the frozen default drives
@@ -306,6 +308,64 @@ class TestQueuedServer:
         assert fog.tasks == 2 and fog.decoded == {}
         assert decode_calls == [b"\xff\x00junk"] * 2
         assert net.accounting["sent"] == 2 and state.registry == {}
+
+
+def _device_rig():
+    """One placement device 5 ms from a `fog-ca` node with no handler,
+    its registration sent at t = 0, and the fleet that provisioned it."""
+    net = Network(1)
+    net.add_node("fog-ca", role="authority")
+    net.add_node("thing-0000", role="child")
+    net.connect_duplex("thing-0000", "fog-ca", 5)
+    fleet = Fleet(curve.toy17(), random.Random(3), SimClock(net))
+    dev = ex._Device(fleet.provision(b"thing-0000"), SMALL, lambda: "fog-ca")
+    dev.attach(net)
+    dev.start_registration(net, "fog-ca")
+    return net, fleet, dev
+
+
+def _strays(params):
+    """Payloads that answer no registration: malformed bytes and each
+    decodable message other than a RegistrationResponse."""
+    rng = random.Random(5)
+    box = lambda payload: seal(rng.randbytes(32), payload, rng)  # noqa: E731
+    point = params.base_point
+    return [b"\xff", wire.RegistrationRequest(b"thing-0000"),
+            wire.AuthRequest(b"thing-0000", point, point, 1),
+            wire.AuthResponse(point, point, 1),
+            wire.PeerInit(box(b"x"), box(b"k" * 32)),
+            wire.PeerRelay(box(b"x"), box(b"k" * 32)),
+            wire.PeerChallenge(box(b"x"), box(b"n" * 16)),
+            wire.PeerProof(box(b"n" * 16))]
+
+
+class TestDevice:
+    def test_forged_registration_response_refused(self):
+        # the seal does not open under the device's channel key
+        net, fleet, dev = _device_rig()
+        rng = random.Random(0)
+        forged = wire.RegistrationResponse(seal(rng.randbytes(32), b"k", rng))
+        net.send("fog-ca", "thing-0000", wire.encode(forged))
+        net.run()
+        [txn] = dev.stats
+        assert txn.completed_at is None and txn.retries == SMALL.max_retries
+        assert dev.base.auth_key is None
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_stray_message_consumes_no_transaction(self, index):
+        net, fleet, dev = _device_rig()
+        stray = _strays(fleet.params)[index]
+        if not isinstance(stray, bytes):
+            stray = wire.encode(stray, fleet.params)
+        net.send("fog-ca", "thing-0000", stray)
+        issued = fleet.authority.register_child(
+            wire.RegistrationRequest(b"thing-0000"),
+            fleet.profiles[b"thing-0000"])
+        net.send("fog-ca", "thing-0000", wire.encode(issued), at=1)
+        net.run()
+        [txn] = dev.stats
+        assert txn.completed_at == 6 and txn.retries == 0
+        assert dev.base.auth_key is not None
 
 
 class TestSweep:

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from fogca import curve, integrity, scenarios, wire
+from fogca import curve, hosts, integrity, scenarios, wire
 from fogca.crypto import ManualClock, seal
 from fogca.integrity import TrustState, perturb_profile
-from fogca.simnet import AdversaryPolicy, Drop, Duplicate, Inject, Modify, Rule
+from fogca.errors import UnexpectedMessage
+from fogca.simnet import (AdversaryPolicy, Drop, Duplicate, Inject, Modify,
+                           Rule, SimClock)
 
 
 class TestReplay:
@@ -160,7 +162,7 @@ class TestHostsOverNetwork:
     def test_unconfirmed_key_is_not_registered(self):
         rig, host = self.register_under(curve.toy17(), "drop", Rule(
             lambda e, m: isinstance(m, wire.AuthResponse), Drop()))
-        assert host.confirming and host.state.auth_key is not None
+        assert host.state.confirming and host.state.auth_key is not None
         assert not host.registered
 
     @pytest.mark.parametrize("preset", ["toy17", "prod256"])
@@ -197,7 +199,7 @@ class TestHostsOverNetwork:
         rig.net.run()
         assert [v.kind for v in host.verdicts] == ["key-agreement",
                                                    "KeyMismatch"]
-        assert not host.confirming and not host.registered
+        assert not host.state.confirming and not host.registered
         assert host.state.auth_key is None and host.state.ca_session is None
 
     def test_integrity_mismatch_over_the_network(self):
@@ -227,6 +229,44 @@ class TestHostsOverNetwork:
         assert (verdict.kind, verdict.detail) == ("UnexpectedMessage",
                                                   "RegistrationResponse")
 
+    @staticmethod
+    def stray_messages(params):
+        """One message of each type that only the authority answers."""
+        rng = random.Random(4)
+        box = lambda payload: seal(rng.randbytes(32), payload, rng)  # noqa: E731
+        point = params.base_point
+        return [wire.RegistrationRequest(b"cam-01"),
+                wire.AuthRequest(b"lock-02", point, point, 7),
+                wire.PeerInit(box(b"cam-01"), box(b"k" * 32))]
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_child_records_unexpected_message(self, index):
+        rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        host.start_registration(rig.net)
+        rig.net.run()
+        state = host.state
+        held = (state.auth_key, state.ca_session, dict(state.peer_sessions),
+                dict(state.pending_challenges), dict(state.proposed))
+        stray = self.stray_messages(rig.announcement.params)[index]
+        rig.net.send("gw", "cam-01", wire.encode(stray, state.params))
+        rig.net.run()
+        assert [(v.kind, v.detail) for v in host.verdicts] == [
+            ("key-agreement", "OK"),
+            ("UnexpectedMessage", type(stray).__name__)]
+        assert held == (state.auth_key, state.ca_session,
+                        state.peer_sessions, state.pending_challenges,
+                        state.proposed)
+        assert host.registered
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_respond_refuses_what_only_the_authority_answers(self, toy_rig,
+                                                             index):
+        child = toy_rig.register(b"cam-01")
+        stray = self.stray_messages(toy_rig.params)[index]
+        with pytest.raises(UnexpectedMessage, match=type(stray).__name__):
+            hosts.respond(child, "gw", stray)
+
     def test_authority_records_registration_without_report(self):
         rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
         rig.net.send("cam-01", "custodian",
@@ -235,3 +275,45 @@ class TestHostsOverNetwork:
         [verdict] = rig.authority_host.verdicts
         assert (verdict.kind, verdict.detail) == (
             "UnknownDevice", "no device report for b'ghost'")
+
+
+class TestClockSkew:
+    """An honest child whose clock is off by `skew_ms` registers at
+    t = 5 s: 5 ms to the authority and 5 ms back, 2,000 ms window."""
+
+    @staticmethod
+    def register_skewed(skew_ms, start_ms=5000):
+        rig = scenarios.build_rig(3, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        host.state.clock = SimClock(rig.net, skew_ms=skew_ms)
+        rig.net.call_at(start_ms, host.start_registration)
+        rig.net.run()
+        return ([v.kind for v in rig.authority_host.verdicts],
+                [v.kind for v in host.verdicts], host)
+
+    @pytest.mark.parametrize("skew_ms", range(-5, 6))
+    def test_skew_within_the_one_way_delay_registers(self, skew_ms):
+        authority_saw, child_saw, host = self.register_skewed(skew_ms)
+        assert (authority_saw, child_saw) == ([], ["key-agreement"])
+        assert host.registered
+
+    @pytest.mark.parametrize("skew_ms", [-6, -10, -100])
+    def test_slow_clock_refuses_the_authority_response(self, skew_ms):
+        # T2 reads as sent from the child's future
+        authority_saw, child_saw, host = self.register_skewed(skew_ms)
+        assert (authority_saw, child_saw) == ([], ["StaleTimestamp"])
+        assert host.state.auth_key is None and not host.registered
+
+    @pytest.mark.parametrize("skew_ms", [6, 10, 100, 2500, -2500])
+    def test_authority_refuses_the_request(self, skew_ms):
+        # T1 from the authority's future, or (at -2,500 ms) older than
+        # the window: the child never hears back and stays unconfirmed
+        authority_saw, child_saw, host = self.register_skewed(skew_ms)
+        assert (authority_saw, child_saw) == (["StaleTimestamp"], [])
+        assert host.state.confirming and not host.registered
+
+    @pytest.mark.parametrize("skew_ms", [-50, 2**64])
+    def test_clock_outside_u64_is_a_verdict(self, skew_ms):
+        authority_saw, child_saw, host = self.register_skewed(skew_ms, 0)
+        assert (authority_saw, child_saw) == ([], ["TimestampOutOfRange"])
+        assert not host.registered

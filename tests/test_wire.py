@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from fogca import curve, wire
 from fogca.crypto import BOX_NONCE_LEN, TAG_LEN, seal
-from fogca.errors import DecodeError
+from fogca.errors import DecodeError, TimestampOutOfRange
 
 
 def sample_messages(params):
@@ -86,6 +87,17 @@ class TestErrors:
         blob = wire.encode(sample_messages(toy)[3], toy)
         with pytest.raises(DecodeError):
             wire.decode(blob, None)
+
+    @pytest.mark.parametrize("sent_at", [-1, 2**64])
+    def test_timestamp_outside_u64_refused(self, toy, sent_at):
+        for msg in sample_messages(toy)[3:5]:  # AuthRequest, AuthResponse
+            with pytest.raises(TimestampOutOfRange):
+                wire.encode(dataclasses.replace(msg, sent_at=sent_at), toy)
+
+    def test_largest_timestamp_roundtrips(self, toy):
+        for msg in sample_messages(toy)[3:5]:
+            msg = dataclasses.replace(msg, sent_at=2**64 - 1)
+            assert wire.decode(wire.encode(msg, toy), toy) == msg
 
     def test_identity_length_bounds(self):
         with pytest.raises(ValueError):
