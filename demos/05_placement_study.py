@@ -22,7 +22,7 @@ print(header)
 print("-" * len(header))
 
 means = {}
-for setting in ex.ALL_SETTINGS:
+for setting in ex.SETTING_FRACTIONS:
     regs, auths, retx, ct, ft, util = [], [], [], [], [], []
     for seed in SEEDS:
         stats = ex.run_experiment(setting, workload, seed=seed)
@@ -33,8 +33,8 @@ for setting in ex.ALL_SETTINGS:
         ft.append(stats.fog_tasks)
         util.append(stats.fog_utilization_pct)
     n = len(list(SEEDS))
-    means[setting.name] = (sum(regs) / n, sum(auths) / n)
-    print(f"{setting.name:<13} {sum(regs)/n:>8.0f}ms {sum(auths)/n:>8.0f}ms "
+    means[setting] = (sum(regs) / n, sum(auths) / n)
+    print(f"{setting:<13} {sum(regs)/n:>8.0f}ms {sum(auths)/n:>8.0f}ms "
           f"{sum(retx)//n:>11} {sum(ct)//n:>11} {sum(ft)//n:>10} "
           f"{sum(util)/n:>8.2f}%")
 
@@ -46,7 +46,7 @@ print(f"registration delay, MainlyCloud vs CloudOnly: "
 
 print("\nCloudOnly registration delay vs fleet size (seed 0):")
 counts = [10, 40, 80, 120]
-sweep = ex.sweep_nodes(ex.placement("CloudOnly"), counts, seed=0)
+sweep = ex.sweep_nodes("CloudOnly", counts, seed=0)
 for count, stats in zip(counts, sweep):
     bar = "#" * max(1, int(stats.registration.mean_ms / 4000))
     print(f"  {count:>4} nodes  {stats.registration.mean_ms:>9.0f} ms  {bar}")

@@ -45,6 +45,7 @@ from .integrity import (
     write_records,
 )
 from .wire import (
+    MAX_IDENTITY_LEN,
     Announcement,
     AuthRequest,
     AuthResponse,
@@ -59,15 +60,14 @@ REVOKE_REASONS = ("compromise", "expiry", "policy")
 
 @dataclass
 class RegistrationRecord:
-    """Issued authentication key plus issue metadata.  `ident_point`
-    caches H1(child_id); it is not persisted, so a record restored by
-    `load_records` fills it at its first handshake."""
+    """Issued authentication key plus issue metadata.  `ident_point` is
+    H1(child_id), which handshakes use; it is not persisted, so
+    `load_records` computes it again, as `register_child` does."""
     child_id: bytes
     auth_key: curve.CurvePoint
     issued_at: int
     lifetime_ms: int | None  # None = no scheduled expiry
-    ident_point: curve.CurvePoint | None = field(
-        default=None, compare=False, repr=False)
+    ident_point: curve.CurvePoint = field(compare=False, repr=False)
 
     def expired(self, now_ms: int) -> bool:
         return (self.lifetime_ms is not None
@@ -183,9 +183,6 @@ class AuthorityState:
 
         params = self.params
         ident_point = record.ident_point
-        if ident_point is None:
-            ident_point = record.ident_point = curve.hash_to_point(
-                params, req.child_id)
         t1 = curve.hash_to_scalar(params, curve.H2_TAG,
                                   [timestamp_bytes(req.sent_at)])
         # recover the client's random point: M_C - t1 * (private * Q_id)
@@ -243,7 +240,7 @@ class AuthorityState:
         self._refuse_if_unusable(from_id, self.clock.now())
         target = open_box(sender[1], msg.peer_box)
         proposed = open_box(sender[1], msg.key_box)
-        if not 1 <= len(target) <= 64:
+        if not 1 <= len(target) <= MAX_IDENTITY_LEN:
             raise AuthFailure("bad target identity length")
         if len(proposed) != 32:
             raise AuthFailure("bad proposed key length")
@@ -311,7 +308,8 @@ class AuthorityState:
                     child_id,
                     curve.decode_point(self.params, bytes.fromhex(key_hex)),
                     int(issued),
-                    None if lifetime == "-" else int(lifetime))
+                    None if lifetime == "-" else int(lifetime),
+                    curve.hash_to_point(self.params, child_id))
             elif kind == "CRL":
                 cid, at, reason = rest
                 if reason not in REVOKE_REASONS:

@@ -34,6 +34,7 @@ from .errors import (
     StaleTimestamp,
 )
 from .wire import (
+    MAX_IDENTITY_LEN,
     Announcement,
     AuthRequest,
     AuthResponse,
@@ -52,8 +53,8 @@ class ChildState:
     def __init__(self, ident: bytes, announcement: Announcement,
                  channel_key: bytes, rng, clock=None,
                  freshness_window_ms: int = DEFAULT_FRESHNESS_WINDOW_MS):
-        if not 1 <= len(ident) <= 64:
-            raise ValueError("identity must be 1-64 bytes")
+        if not 1 <= len(ident) <= MAX_IDENTITY_LEN:
+            raise ValueError(f"identity must be 1-{MAX_IDENTITY_LEN} bytes")
         self.ident = ident
         self.announcement = announcement
         self.params = announcement.params
@@ -189,8 +190,9 @@ class ChildState:
     def peer_init(self, peer_id: bytes) -> PeerInit:
         """Propose a fresh key for a peer; latest proposal per peer wins."""
         ca_key = self._ca_key()
-        if not 1 <= len(peer_id) <= 64:
-            raise ValueError("peer identity must be 1-64 bytes")
+        if not 1 <= len(peer_id) <= MAX_IDENTITY_LEN:
+            raise ValueError(
+                f"peer identity must be 1-{MAX_IDENTITY_LEN} bytes")
         proposed_key = new_symmetric_key(self.rng)
         msg = PeerInit(
             peer_box=seal(ca_key, peer_id, self.rng),

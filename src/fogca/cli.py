@@ -19,7 +19,7 @@ from .integrity import AffinityStore, compute_ivv, verify_ivv
 
 
 def _curve_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--curve", choices=("toy17", "prod256"),
+    parser.add_argument("--curve", choices=tuple(curve.PRESETS),
                         default="toy17")
 
 
@@ -30,8 +30,9 @@ def count(text: str) -> int:
 
 
 def identity(text: str) -> str:
-    if not 1 <= len(text.encode()) <= 64:
-        raise argparse.ArgumentTypeError(f"{text!r} is not 1-64 UTF-8 bytes")
+    if not 1 <= len(text.encode()) <= wire.MAX_IDENTITY_LEN:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not 1-{wire.MAX_IDENTITY_LEN} UTF-8 bytes")
     return text
 
 
@@ -187,11 +188,10 @@ def cmd_ivv(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    setting = experiments.placement(args.setting)
     workload = replace(experiments.DEFAULT_WORKLOAD, node_count=args.nodes)
-    stats = experiments.run_experiment(setting, workload, args.seed)
-    experiments.export_csv([(setting.name, args.nodes, stats)], args.out)
-    print(f"{setting.name} nodes={args.nodes}: "
+    stats = experiments.run_experiment(args.setting, workload, args.seed)
+    experiments.export_csv([(args.setting, args.nodes, stats)], args.out)
+    print(f"{args.setting} nodes={args.nodes}: "
           f"reg mean {stats.registration.mean_ms:.1f} ms, "
           f"auth mean {stats.auth.mean_ms:.1f} ms, "
           f"retransmits {stats.retransmission_count} -> {args.out}")

@@ -20,17 +20,18 @@ point at infinity is the module constant INFINITY.
 
 Also here: the three hash families used by the protocols (hash to a
 curve point, hash to a nonzero scalar under a domain tag), brute-force
-oracles for small curves, and the fixed byte encoding for points.
+oracles for small curves, the fixed byte encoding for points, and the
+two presets, `PRESETS`: toy17 and prod256 (P-256), whose domain
+`scalar_mul`'s P-256 test compares against.
 """
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import import_module, resources
+from importlib import import_module
 from typing import NamedTuple
 
 from .errors import (
@@ -363,30 +364,21 @@ def _multiples(params: CurveParams, pt: CurvePoint) -> list[CurvePoint]:
     return row
 
 
-# SEC 2 secp256r1 (NIST P-256): p, a, b, Gx, Gy, n, cofactor
-_P256_DOMAIN = (
-    0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff,
-    0xffffffff00000001000000000000000000000000fffffffffffffffffffffffc,
-    0x5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b,
-    0x6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296,
-    0x4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5,
-    0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551,
-    1,
-)
 # cryptography's EC module, imported with the first P-256 domain so that
 # processes that never use one do not load it
 _ec = None
 
 
 def _is_p256(params: CurveParams) -> bool:
-    """Whether the whole domain is P-256, decided once per params; the
-    first true answer imports the EC module."""
+    """Whether the whole domain is prod256's (P-256), decided once per
+    params; the first true answer imports the EC module."""
     answer = getattr(params, "_p256", None)
     if answer is None:
         global _ec
         G = params.base_point
-        answer = (params.p, params.a, params.b, G.x, G.y, params.order_n,
-                  params.cofactor) == _P256_DOMAIN
+        answer = dict(p=params.p, a=params.a, b=params.b, gx=G.x, gy=G.y,
+                      n=params.order_n,
+                      cofactor=params.cofactor) == PRESETS["prod256"]
         if answer:
             _ec = import_module("cryptography.hazmat.primitives.asymmetric.ec")
         object.__setattr__(params, "_p256", answer)
@@ -555,18 +547,29 @@ def random_scalar(params: CurveParams, rng) -> int:
 
 # ---- presets ---------------------------------------------------------------
 
+# `make_params` arguments per preset.  toy17 is for oracle-checked tests
+# (every point can be enumerated); prod256 is SEC 2 secp256r1 (NIST
+# P-256), ~128-bit symmetric-equivalent strength.
+PRESETS = {
+    "toy17": dict(p=17, a=2, b=2, gx=5, gy=1, n=19, cofactor=1),
+    "prod256": dict(
+        p=0xffffffff00000001000000000000000000000000ffffffffffffffffffffffff,
+        a=0xffffffff00000001000000000000000000000000fffffffffffffffffffffffc,
+        b=0x5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b,
+        gx=0x6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296,
+        gy=0x4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5,
+        n=0xffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551,
+        cofactor=1),
+}
+
+
 @lru_cache(maxsize=None)
 def load_preset(name: str) -> CurveParams:
-    """Load a named curve preset from the packaged config file."""
-    cfg = configparser.ConfigParser()
-    cfg.read_string(resources.files("fogca.data").joinpath("curves.ini").read_text())
-    if name not in cfg:
+    """Build a named preset from `PRESETS`, through every check of
+    `make_params`."""
+    if name not in PRESETS:
         raise KeyError(f"unknown curve preset {name!r}")
-    sec = cfg[name]
-    return make_params(
-        p=int(sec["p"], 16), a=int(sec["a"], 16), b=int(sec["b"], 16),
-        gx=int(sec["gx"], 16), gy=int(sec["gy"], 16), n=int(sec["n"], 16),
-        cofactor=int(sec["cofactor"], 16), name=name)
+    return make_params(**PRESETS[name], name=name)
 
 
 def toy17() -> CurveParams:

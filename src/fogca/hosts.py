@@ -139,7 +139,11 @@ class ChildHost:
             if reply is not None:
                 net.send(self.node_id, *reply)
             elif isinstance(msg, wire.RegistrationResponse):
-                self.start_auth(net)  # the key-confirmation round
+                try:
+                    self.start_auth(net)  # the key-confirmation round
+                except FogcaError:
+                    self.state.handshake_failed()  # as confirm_auth_key does
+                    raise
             elif isinstance(msg, wire.AuthResponse):
                 self.verdicts.append(Verdict("key-agreement", "OK"))
             else:  # a PeerProof, the last message respond accepts silently

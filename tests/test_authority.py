@@ -579,12 +579,11 @@ class TestIdentityPointCache:
             rig.clock, rig.store)
         restored.load_records(rig.authority.dump_records())
         record = restored.registry[b"cam-01"]
-        assert record.ident_point is None
+        assert record.ident_point == curve.hash_to_point(rig.params, b"cam-01")
         assert record == rig.authority.registry[b"cam-01"]
         calls = count_h1_calls(monkeypatch)
-        for _ in range(2):  # only the first handshake hashes the identity
+        for _ in range(2):  # no handshake hashes the identity
             rig.clock.advance(10)
             resp = restored.handle_auth_request(child.auth_init())
             assert child.auth_finish(resp) == restored.sessions[b"cam-01"][1]
-            assert calls == [b"cam-01"]
-        assert record.ident_point == curve.hash_to_point(rig.params, b"cam-01")
+        assert calls == []

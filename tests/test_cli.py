@@ -46,6 +46,15 @@ class TestUsage:
         assert err.value.code == 2
         assert "usage" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("command",
+                             ["setup", "register", "handshake", "peer"])
+    def test_curve_offers_exactly_the_presets(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--help"])
+        assert err.value.code == 0
+        offered = "{" + ",".join(curve.PRESETS) + "}"
+        assert f"--curve {offered}" in capsys.readouterr().out
+
 
 class TestSetup:
     def test_prints_decodable_announcement(self, capsys):

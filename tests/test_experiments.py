@@ -20,18 +20,19 @@ SMALL = ex.WorkloadSpec(node_count=6, registration_rate=1.0, auth_rate=0.4,
 
 class TestSettings:
     def test_all_five_settings(self):
-        names = {s.name for s in ex.ALL_SETTINGS}
-        assert names == {"CloudOnly", "MainlyCloud", "FairlyShared",
-                         "MainlyFog", "FogOnly"}
+        assert set(ex.SETTING_FRACTIONS) == {
+            "CloudOnly", "MainlyCloud", "FairlyShared", "MainlyFog",
+            "FogOnly"}
 
     def test_fraction_must_match_name(self):
-        # the fraction is read from the name, so only the name can be wrong
-        assert ex.PlacementSetting("CloudOnly").fog_fraction == 0.0
+        # a setting is its name, so only the name can be wrong
         with pytest.raises(ValueError):
-            ex.PlacementSetting("HalfAndHalf")
+            ex.placement("HalfAndHalf")
+        with pytest.raises(ValueError):
+            ex.run_experiment("HalfAndHalf", SMALL, seed=1)
 
     def test_placement_lookup(self):
-        assert ex.placement("MainlyFog").fog_fraction == 0.9
+        assert ex.SETTING_FRACTIONS[ex.placement("MainlyFog")] == 0.9
         with pytest.raises(ValueError):
             ex.placement("nope")
 
@@ -351,6 +352,46 @@ class TestDevice:
         assert txn.completed_at is None and txn.retries == SMALL.max_retries
         assert dev.base.auth_key is None
 
+    def test_refused_response_keeps_its_transaction(self):
+        # a forged response at t = 0 is refused; the genuine one at
+        # t = 1 ms still completes the registration
+        net, fleet, dev = _device_rig()
+        rng = random.Random(0)
+        forged = wire.RegistrationResponse(seal(rng.randbytes(32), b"k", rng))
+        net.send("fog-ca", "thing-0000", wire.encode(forged))
+        issued = fleet.authority.register_child(
+            wire.RegistrationRequest(b"thing-0000"),
+            fleet.profiles[b"thing-0000"])
+        net.send("fog-ca", "thing-0000", wire.encode(issued), at=1)
+        net.run()
+        [txn] = dev.stats
+        assert txn.completed_at == 6 and txn.retries == 0
+        assert dev.base.auth_key is not None
+
+    def test_refused_auth_response_spends_only_its_handshake(self):
+        net, fleet, dev = _device_rig()
+        issued = fleet.authority.register_child(
+            wire.RegistrationRequest(b"thing-0000"),
+            fleet.profiles[b"thing-0000"])
+        net.send("fog-ca", "thing-0000", wire.encode(issued))
+        point = fleet.params.base_point
+        forged = wire.AuthResponse(point, point, 10)
+
+        def start_and_answer(n):
+            dev.start_auth(n, "fog-ca")
+            req = wire.decode(dev.stats[-1].payload, fleet.params)
+            resp = fleet.authority.handle_auth_request(req)
+            n.send("fog-ca", "thing-0000", wire.encode(resp, fleet.params))
+
+        net.call_at(10, lambda n: dev.start_auth(n, "fog-ca"))
+        net.send("fog-ca", "thing-0000", wire.encode(forged, fleet.params),
+                 at=10)
+        net.call_at(20, start_and_answer)
+        net.run()
+        _, spent, answered = dev.stats
+        assert spent.completed_at is None
+        assert answered.completed_at == 25 and answered.retries == 0
+
     @pytest.mark.parametrize("index", range(8))
     def test_stray_message_consumes_no_transaction(self, index):
         net, fleet, dev = _device_rig()
@@ -415,7 +456,7 @@ class TestPlacementMonotonicity:
         # averaged over 10 seeds at the frozen default workload
         workload = ex.DEFAULT_WORKLOAD
         averages = []
-        for setting in ex.ALL_SETTINGS:
+        for setting in ex.SETTING_FRACTIONS:
             total = 0.0
             for seed in range(10):
                 stats = ex.run_experiment(setting, workload, seed=seed)

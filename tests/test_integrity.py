@@ -309,8 +309,10 @@ class TestPersistence:
              crl=[(b"\x00", 0, "expiry")])
     def test_registry_and_crl_roundtrip(self, records, crl):
         state, _ = authority.setup(curve.toy17(), random.Random(3))
-        state.registry = {rec[0]: authority.RegistrationRecord(*rec)
-                          for rec in records}
+        state.registry = {
+            rec[0]: authority.RegistrationRecord(
+                *rec, curve.hash_to_point(state.params, rec[0]))
+            for rec in records}
         state.crl = {entry[0]: authority.CrlEntry(*entry) for entry in crl}
         loaded, _ = authority.setup(curve.toy17(), random.Random(4))
         loaded.load_records(state.dump_records())

@@ -316,4 +316,5 @@ class TestClockSkew:
     def test_clock_outside_u64_is_a_verdict(self, skew_ms):
         authority_saw, child_saw, host = self.register_skewed(skew_ms, 0)
         assert (authority_saw, child_saw) == ([], ["TimestampOutOfRange"])
-        assert not host.registered
+        # the confirmation round never started: the issued key is dropped
+        assert host.state.auth_key is None and not host.state.confirming
