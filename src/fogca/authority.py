@@ -295,7 +295,8 @@ class AuthorityState:
 
     def load_records(self, lines) -> None:
         """Restore registry and CRL from `dump_records` output.  A bad
-        line raises MalformedRecord and leaves the state as it was."""
+        line, or an identity listed both as registered and as revoked,
+        raises MalformedRecord and leaves the state as it was."""
         registry: dict[bytes, RegistrationRecord] = {}
         crl: dict[bytes, CrlEntry] = {}
 
@@ -304,6 +305,8 @@ class AuthorityState:
             if kind == "REG":
                 cid, key_hex, issued, lifetime = rest
                 child_id = bytes.fromhex(cid)
+                if child_id in crl:
+                    raise ValueError(f"{cid} is already revoked")
                 registry[child_id] = RegistrationRecord(
                     child_id,
                     curve.decode_point(self.params, bytes.fromhex(key_hex)),
@@ -315,6 +318,8 @@ class AuthorityState:
                 if reason not in REVOKE_REASONS:
                     raise ValueError(f"unknown revocation reason {reason!r}")
                 child_id = bytes.fromhex(cid)
+                if child_id in registry:
+                    raise ValueError(f"{cid} is already registered")
                 crl[child_id] = CrlEntry(child_id, int(at), reason)
             else:
                 raise ValueError(f"unknown record type {kind!r}")

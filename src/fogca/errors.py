@@ -167,4 +167,4 @@ class NoRoute(FogcaError):
 
 
 class UnknownProfile(FogcaError):
-    """Named link profile is not present in the configuration."""
+    """Named link profile is not a key of `experiments.LINK_PROFILES`."""

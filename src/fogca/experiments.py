@@ -29,8 +29,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import authority, curve, wire
 from .child import ChildState
 from .errors import FogcaError, UnknownProfile
@@ -128,10 +126,21 @@ class TxnStats:
     def from_delays(cls, delays) -> "TxnStats":
         if not delays:
             return cls()
-        arr = np.asarray(delays, dtype=float)
-        return cls(len(delays), float(arr.mean()),
-                   float(np.percentile(arr, 50)),
-                   float(np.percentile(arr, 95)), float(arr.max()))
+        ordered = sorted(delays)
+        return cls(len(ordered), sum(ordered) / len(ordered),
+                   _percentile(ordered, 0.5), _percentile(ordered, 0.95),
+                   float(ordered[-1]))
+
+
+def _percentile(ordered, q: float) -> float:
+    """Linear-interpolation percentile (Hyndman-Fan type 7) of sorted
+    integers, rounded as the pinned statistics were recorded: from the
+    upper sample down once the fraction reaches one half."""
+    pos = (len(ordered) - 1) * q
+    i = int(pos)
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    t = pos - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from fogca.errors import (
     DuplicateRegistration,
     Expired,
     IntegrityMismatch,
+    MalformedRecord,
     NoSession,
     ReplayDetected,
     Revoked,
@@ -291,6 +292,19 @@ class TestRevocation:
         toy_rig.clock.advance(5)
         with pytest.raises(refusal):
             a.handle_auth_request(child.auth_init())
+
+    def test_registered_and_revoked_line_refused(self, toy_rig):
+        # no operation leaves an identity in both the registry and the
+        # CRL, so a file listing it in both is refused at the later line
+        toy_rig.register(b"cam-01")
+        a = toy_rig.authority
+        before = a.dump_records()
+        a.revoke(b"cam-01", "policy")
+        after = a.dump_records()
+        for lines in (before + after, after + before):
+            with pytest.raises(MalformedRecord, match="^line 2: "):
+                a.load_records(lines)
+            assert list(a.registry) == [] and list(a.crl) == [b"cam-01"]
 
     def test_revoke_bad_reason(self, toy_rig):
         toy_rig.register(b"cam-01")

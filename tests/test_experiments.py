@@ -3,7 +3,10 @@ import random
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fogca import authority, curve, wire
 from fogca import experiments as ex
@@ -193,6 +196,30 @@ class TestRunExperiment:
             assert txn.mean_ms <= txn.max_ms
             assert txn.p50_ms <= txn.p95_ms <= txn.max_ms
         assert stats.cloud_tasks >= 0 and stats.fog_tasks >= 0
+
+
+DELAY = st.integers(0, 10**7)
+# (n - 1) * 0.95 ends in exactly .5 when n - 1 is 10 past a multiple of
+# 20, so those lengths take the interpolation's upper branch
+HALF_WAY = st.integers(0, 149).map(lambda k: 20 * k + 11)
+DELAY_LISTS = st.one_of(
+    st.lists(DELAY, min_size=1, max_size=3000),
+    HALF_WAY.flatmap(lambda n: st.lists(DELAY, min_size=n, max_size=n)),
+    st.builds(lambda d, n: [d] * n, DELAY, st.integers(1, 3000)))
+
+
+class TestTxnStats:
+    @settings(max_examples=100, deadline=None)
+    @given(DELAY_LISTS)
+    @example([0])
+    @example([7] * 3000)
+    @example(list(range(2991, 0, -1)))
+    def test_matches_numpy(self, delays):
+        arr = np.asarray(delays, dtype=float)
+        assert ex.TxnStats.from_delays(delays) == ex.TxnStats(
+            len(delays), float(np.mean(arr)),
+            float(np.percentile(arr, 50)), float(np.percentile(arr, 95)),
+            float(arr.max()))
 
 
 def _server_rig():

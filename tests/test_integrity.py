@@ -315,6 +315,12 @@ class TestPersistence:
             for rec in records}
         state.crl = {entry[0]: authority.CrlEntry(*entry) for entry in crl}
         loaded, _ = authority.setup(curve.toy17(), random.Random(4))
+        if state.registry.keys() & state.crl.keys():
+            # no operation leaves an identity both registered and revoked
+            with pytest.raises(MalformedRecord):
+                loaded.load_records(state.dump_records())
+            assert not loaded.registry and not loaded.crl
+            return
         loaded.load_records(state.dump_records())
         assert list(loaded.registry.items()) == list(state.registry.items())
         assert list(loaded.crl.items()) == list(state.crl.items())
