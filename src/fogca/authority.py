@@ -295,18 +295,22 @@ class AuthorityState:
 
     def load_records(self, lines) -> None:
         """Restore registry and CRL from `dump_records` output.  A bad
-        line, or an identity listed both as registered and as revoked,
-        raises MalformedRecord and leaves the state as it was."""
+        line, or an identity on a second line, raises MalformedRecord
+        and leaves the state as it was."""
         registry: dict[bytes, RegistrationRecord] = {}
         crl: dict[bytes, CrlEntry] = {}
+
+        def new_identity(cid: str) -> bytes:
+            child_id = bytes.fromhex(cid)
+            if child_id in registry or child_id in crl:
+                raise ValueError(f"{cid} is on an earlier line")
+            return child_id
 
         def parse(fields):
             kind, rest = fields[0], fields[1:]
             if kind == "REG":
                 cid, key_hex, issued, lifetime = rest
-                child_id = bytes.fromhex(cid)
-                if child_id in crl:
-                    raise ValueError(f"{cid} is already revoked")
+                child_id = new_identity(cid)
                 registry[child_id] = RegistrationRecord(
                     child_id,
                     curve.decode_point(self.params, bytes.fromhex(key_hex)),
@@ -317,9 +321,7 @@ class AuthorityState:
                 cid, at, reason = rest
                 if reason not in REVOKE_REASONS:
                     raise ValueError(f"unknown revocation reason {reason!r}")
-                child_id = bytes.fromhex(cid)
-                if child_id in registry:
-                    raise ValueError(f"{cid} is already registered")
+                child_id = new_identity(cid)
                 crl[child_id] = CrlEntry(child_id, int(at), reason)
             else:
                 raise ValueError(f"unknown record type {kind!r}")

@@ -34,7 +34,6 @@ from .errors import (
     StaleTimestamp,
 )
 from .wire import (
-    MAX_IDENTITY_LEN,
     Announcement,
     AuthRequest,
     AuthResponse,
@@ -44,6 +43,7 @@ from .wire import (
     PeerRelay,
     RegistrationRequest,
     RegistrationResponse,
+    check_identity,
 )
 
 
@@ -53,8 +53,7 @@ class ChildState:
     def __init__(self, ident: bytes, announcement: Announcement,
                  channel_key: bytes, rng, clock=None,
                  freshness_window_ms: int = DEFAULT_FRESHNESS_WINDOW_MS):
-        if not 1 <= len(ident) <= MAX_IDENTITY_LEN:
-            raise ValueError(f"identity must be 1-{MAX_IDENTITY_LEN} bytes")
+        check_identity(ident)
         self.ident = ident
         self.announcement = announcement
         self.params = announcement.params
@@ -190,9 +189,7 @@ class ChildState:
     def peer_init(self, peer_id: bytes) -> PeerInit:
         """Propose a fresh key for a peer; latest proposal per peer wins."""
         ca_key = self._ca_key()
-        if not 1 <= len(peer_id) <= MAX_IDENTITY_LEN:
-            raise ValueError(
-                f"peer identity must be 1-{MAX_IDENTITY_LEN} bytes")
+        check_identity(peer_id)
         proposed_key = new_symmetric_key(self.rng)
         msg = PeerInit(
             peer_box=seal(ca_key, peer_id, self.rng),

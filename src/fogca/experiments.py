@@ -5,16 +5,19 @@ transaction to a fog-hosted CA instance or to the remote cloud instance.
 Both instances are the same logical CA (shared registry and session
 table); each is a FIFO queue with a deterministic service time, and the
 links and the cloud's capacity share come from the frozen calibration
-in LINK_PROFILES.  Devices run the real registration and
-mutual-authentication exchanges over the simulated network, retransmit
-when a response is late (the duplicate is refused by the replay cache
-but still consumes server capacity, which is the congestion-inflation
-effect), and every delay statistic comes out of completed transactions.
+in LINK_PROFILES.  Each device is a `hosts.ChildHost` that runs the
+real registration and mutual-authentication exchanges over the
+simulated network, retransmits when a response is late (the duplicate
+is refused by the replay cache but still consumes server capacity,
+which is the congestion-inflation effect), and every delay statistic
+comes out of its completed transactions.
 
 Transactions overlap freely: a device may have several handshakes in
-flight, each tracked by its own handshake state and matched to its
-response by per-(device, server) FIFO order, which the drop-free,
-jitter-free default profile guarantees.
+flight, each on its own handshake state and matched to its response by
+per-(device, server) FIFO order, which the drop-free, jitter-free
+default profile guarantees.  A device installs the issued key without
+the key-confirmation round that the gallery and `Fleet.register` run,
+so the registration delay leaves out one handshake: a model choice.
 
 The protocol math runs on the toy curve by default: placement delays
 come from links and queues, not from field sizes, and the cryptographic
@@ -30,9 +33,8 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from . import authority, curve, wire
-from .child import ChildState
 from .errors import FogcaError, UnknownProfile
-from .hosts import answer, respond
+from .hosts import ChildHost, answer
 from .scenarios import Fleet
 from .simnet import Network, SimClock
 
@@ -210,122 +212,6 @@ class _QueuedServer:
         net.send(self.node_id, dest, reply)
 
 
-@dataclass
-class _Txn:
-    reply: type            # RegistrationResponse | AuthResponse
-    dest: str              # server node id
-    payload: bytes
-    state: ChildState      # the state that the reply is run on
-    first_sent: int = 0
-    completed_at: int | None = None
-    retries: int = 0
-
-
-class _Device:
-    """One thing node: issues its registration and auth transactions at
-    scheduled times, retransmits the same bytes on timeout, and matches
-    responses to transactions in per-server FIFO order.
-
-    A registration installs the issued key and completes without the
-    key-confirmation round that `ChildHost` and `Fleet.register` run, so
-    the registration delay leaves out one handshake: a model choice.
-
-    A refused RegistrationResponse leaves its transaction waiting for
-    the genuine one.  A refused AuthResponse ends its handshake, as on
-    `ChildHost`: `auth_finish` consumes the pending point, so a
-    handshake state is single-use."""
-
-    def __init__(self, base: ChildState, workload: WorkloadSpec, pick_server):
-        self.base = base
-        self.node_id = base.ident.decode()
-        self.workload = workload
-        self.pick_server = pick_server
-        # transactions sent per (server, awaited response type), in send
-        # order; answered ones are dropped on reaching the front
-        self.outstanding: dict[tuple[str, type], deque[_Txn]] = {}
-        self.deferred_auths = 0
-        self.stats: list[_Txn] = []
-
-    def attach(self, net: Network) -> None:
-        net.set_handler(self.node_id, self.on_delivery)
-
-    # -- sending -------------------------------------------------------------
-
-    def send_txn(self, net: Network, txn: _Txn) -> None:
-        txn.first_sent = net.now
-        self.stats.append(txn)
-        self._expect(txn.dest, txn)
-        net.send(self.node_id, txn.dest, txn.payload)
-        self._arm_timeout(net, txn)
-
-    def _arm_timeout(self, net: Network, txn: _Txn) -> None:
-        """Time out `txn` while it has a retry left; a timeout after the
-        last one could only do nothing."""
-        if txn.retries < self.workload.max_retries:
-            at = net.now + self.workload.retransmit_timeout_ms
-            net.call_at(at, lambda n, t=txn: self._maybe_retransmit(n, t))
-
-    def _maybe_retransmit(self, net: Network, txn: _Txn) -> None:
-        if txn.completed_at is not None:
-            return
-        txn.retries += 1
-        # identical bytes, but the retry re-picks its CA instance: the
-        # shared registry/replay-cache makes either server answer it
-        # correctly, and a fog retry rescues a cloud-queued transaction
-        retry_dest = self.pick_server()
-        if retry_dest != txn.dest:
-            self._expect(retry_dest, txn)
-        net.send(self.node_id, retry_dest, txn.payload)
-        self._arm_timeout(net, txn)
-
-    def start_registration(self, net: Network, dest: str) -> None:
-        payload = wire.encode(self.base.request_registration())
-        self.send_txn(net, _Txn(wire.RegistrationResponse, dest, payload,
-                                self.base))
-
-    def start_auth(self, net: Network, dest: str) -> None:
-        base = self.base
-        if base.auth_key is None:
-            # not registered yet: hold the slot until registration lands
-            self.deferred_auths += 1
-            return
-        handshake = base.handshake()
-        payload = wire.encode(handshake.auth_init(), base.params)
-        self.send_txn(net, _Txn(wire.AuthResponse, dest, payload, handshake))
-
-    # -- receiving -------------------------------------------------------------
-
-    def on_delivery(self, net: Network, event) -> None:
-        try:
-            msg = wire.decode(event.payload, self.base.params)
-            # the oldest unanswered transaction awaiting this type from
-            # this server; a message that none awaits consumes none
-            queue = self.outstanding.get((event.src, type(msg)))
-            while queue and queue[0].completed_at is not None:
-                queue.popleft()
-            if not queue:
-                return
-            txn = queue[0]
-            if txn.reply is wire.AuthResponse:
-                queue.popleft()  # a handshake state answers once
-            respond(txn.state, event.src, msg)
-        except FogcaError:
-            return
-        txn.completed_at = net.now
-        self._release_deferred(net)  # none are held once registered
-
-    def _expect(self, server: str, txn: _Txn) -> None:
-        self.outstanding.setdefault((server, txn.reply), deque()).append(txn)
-
-    def _release_deferred(self, net: Network) -> None:
-        held, self.deferred_auths = self.deferred_auths, 0
-        # stagger by 1 ms so each handshake gets a distinct timestamp
-        for k in range(held):
-            dest = self.pick_server()
-            net.call_at(net.now + 1 + k,
-                        lambda n, s=dest: self.start_auth(n, s))
-
-
 def _build_network(profile: LinkProfile, node_ids, seed: int) -> Network:
     net = Network(seed)
     net.add_node("cloud-ca", role="authority")
@@ -352,21 +238,19 @@ def run_experiment(setting: str, workload: WorkloadSpec,
     params = params or curve.toy17()
     master = random.Random(seed)
 
-    idents = [f"thing-{i:04d}".encode() for i in range(workload.node_count)]
-    net = _build_network(profile, [i.decode() for i in idents],
-                         master.getrandbits(32))
+    node_ids = [f"thing-{i:04d}" for i in range(workload.node_count)]
+    net = _build_network(profile, node_ids, master.getrandbits(32))
     fleet = Fleet(params, master, SimClock(net), workload.freshness_window_ms)
 
     route_rng = random.Random(master.getrandbits(64))
 
     def pick_server() -> str:
-        return ("fog-ca" if route_rng.random() < fog_fraction
-                else "cloud-ca")
+        return "fog-ca" if route_rng.random() < fog_fraction else "cloud-ca"
 
-    devices = [_Device(fleet.provision(ident), workload, pick_server)
-               for ident in idents]
-    for dev in devices:
-        dev.attach(net)
+    devices = [ChildHost(node_id, fleet.provision(node_id.encode()),
+                         pick_server, workload.max_retries,
+                         workload.retransmit_timeout_ms, confirm=False)
+               for node_id in node_ids]
 
     decoded = {}  # one logical CA: both instances share decoded requests
     cloud_capacity = workload.server_capacity * profile.cloud_capacity_scale
@@ -387,6 +271,7 @@ def run_experiment(setting: str, workload: WorkloadSpec,
     n = max(workload.node_count, 1)
     auth_period_ms = 1000.0 / workload.auth_rate
     for i, dev in enumerate(devices):
+        dev.attach(net)
         reg_at = int(i * reg_window_ms / n)
         dest = pick_server()
         net.call_at(reg_at, lambda n_, d=dev, s=dest: d.start_registration(n_, s))
@@ -406,7 +291,7 @@ def run_experiment(setting: str, workload: WorkloadSpec,
     delays = {wire.RegistrationResponse: [], wire.AuthResponse: []}
     incomplete = retransmissions = 0
     for dev in devices:
-        for txn in dev.stats:
+        for txn in dev.transactions:
             retransmissions += txn.retries
             if txn.completed_at is None:
                 incomplete += 1

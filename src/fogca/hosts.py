@@ -7,7 +7,8 @@ dispatcher; both take a decoded message, so bytes served again are
 decoded once.  Refusals never cross the wire; they are recorded as
 verdicts on the refusing side, which is what the attack scenarios
 assert on.  Whether an issued key awaits its confirmation is the
-child's own state, `ChildState.confirming`.
+child's own state, `ChildState.confirming`.  `ChildHost` drives every
+device, in the attack gallery and the placement study alike.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -15,6 +16,7 @@ can route peer relays.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import wire
@@ -97,14 +99,46 @@ class AuthorityHost:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
 
-class ChildHost:
-    """Drives a ChildState: completes registration (with the embedded
-    key-confirmation round) and both peer roles without orchestration."""
+@dataclass(slots=True)
+class Transaction:
+    """A registration or handshake that a ChildHost sent; `state`, the
+    state that its reply runs on, is dropped once a reply completes it."""
+    reply: type            # RegistrationResponse | AuthResponse
+    dest: str              # the server it was first sent to
+    payload: bytes         # what a retry sends again
+    state: ChildState | None
+    first_sent: int
+    completed_at: int | None = None
+    retries: int = 0
 
-    def __init__(self, node_id: str, state: ChildState, authority_node: str):
+
+class ChildHost:
+    """Drives any device.  Each registration or handshake sent is a
+    Transaction, matched to its response in send order per (server,
+    response type) and sent again, to a server `pick_server` picks
+    afresh, every `retransmit_timeout_ms` while retries remain.  A
+    refused response spends a handshake but leaves a registration
+    waiting; a message that no transaction awaits runs on the device's
+    own state; refusals are verdicts.  With `confirm`, a handshake on
+    the device's own state confirms an installed key, which the first
+    action or delivery after the freshness window drops if that round
+    is still open.  Other handshakes run on states of their own, so that
+    several can be in flight; one started without a key waits for it."""
+
+    def __init__(self, node_id: str, state: ChildState, pick_server,
+                 max_retries: int = 0, retransmit_timeout_ms: int = 0,
+                 confirm: bool = True):
         self.node_id = node_id
         self.state = state
-        self.authority_node = authority_node
+        self.pick_server = pick_server
+        self.max_retries = max_retries
+        self.retransmit_timeout_ms = retransmit_timeout_ms
+        self.confirm = confirm
+        self.transactions: list[Transaction] = []
+        # per (server, awaited response type), in send order
+        self.outstanding: dict[tuple[str, type], deque[Transaction]] = {}
+        self.deferred_auths = 0
+        self.confirm_by: int | None = None  # the confirmation round's end
         self.established: list[bytes] = []
         self.verdicts: list[Verdict] = []
 
@@ -118,36 +152,103 @@ class ChildHost:
 
     # -- actions ---------------------------------------------------------------
 
-    def start_registration(self, net: Network) -> None:
-        net.send(self.node_id, self.authority_node,
-                 wire.encode(self.state.request_registration()))
+    def start_registration(self, net: Network, server: str | None = None) -> None:
+        self._settle(net)
+        self._send(net, wire.RegistrationResponse, server,
+                   wire.encode(self.state.request_registration()), self.state)
 
-    def start_auth(self, net: Network) -> None:
-        net.send(self.node_id, self.authority_node,
-                 wire.encode(self.state.auth_init(), self.state.params))
+    def start_auth(self, net: Network, server: str | None = None) -> None:
+        self._settle(net)
+        if self.state.auth_key is None:
+            self.deferred_auths += 1
+            return
+        handshake = self.state.handshake()
+        self._send(net, wire.AuthResponse, server,
+                   wire.encode(handshake.auth_init(), self.state.params),
+                   handshake)
 
     def start_peer(self, net: Network, peer_id: bytes) -> None:
-        net.send(self.node_id, self.authority_node,
+        self._settle(net)
+        net.send(self.node_id, self.pick_server(),
                  wire.encode(self.state.peer_init(peer_id), self.state.params))
+
+    def _send(self, net: Network, reply: type, server: str | None,
+              payload: bytes, state: ChildState) -> None:
+        txn = Transaction(reply, server or self.pick_server(), payload, state,
+                          net.now)
+        self.transactions.append(txn)
+        self.outstanding.setdefault((txn.dest, reply), deque()).append(txn)
+        net.send(self.node_id, txn.dest, payload)
+        self._arm_timeout(net, txn)
+
+    def _arm_timeout(self, net: Network, txn: Transaction) -> None:
+        if txn.retries < self.max_retries:
+            net.call_at(net.now + self.retransmit_timeout_ms,
+                        lambda n, t=txn: self._retransmit(n, t))
+
+    def _retransmit(self, net: Network, txn: Transaction) -> None:
+        if txn.completed_at is not None:
+            return
+        txn.retries += 1
+        # the shared registry and replay cache let either server answer
+        server = self.pick_server()
+        if server != txn.dest:
+            self.outstanding.setdefault((server, txn.reply),
+                                        deque()).append(txn)
+        net.send(self.node_id, server, txn.payload)
+        self._arm_timeout(net, txn)
+
+    def _settle(self, net: Network) -> None:
+        """Drop a key whose confirmation round outlived its T1."""
+        if self.confirm_by is not None and net.now > self.confirm_by:
+            self.confirm_by = None
+            self.state.handshake_failed()
 
     # -- reactions ----------------------------------------------------------------
 
     def handle(self, net: Network, event: SimEvent) -> None:
+        self._settle(net)
         try:
             msg = wire.decode(event.payload, self.state.params)
-            reply = respond(self.state, event.src, msg)
+            # the oldest unanswered transaction awaiting this, if any
+            queue = self.outstanding.get((event.src, type(msg)))
+            while queue and queue[0].completed_at is not None:
+                queue.popleft()
+            txn = queue[0] if queue else None
+            if txn is not None and txn.reply is wire.AuthResponse:
+                queue.popleft()  # a handshake state answers once
+            state = self.state if txn is None else txn.state
+            reply = respond(state, event.src, msg)
+            if txn is not None:
+                txn.completed_at, txn.state = net.now, None
             if reply is not None:
                 net.send(self.node_id, *reply)
             elif isinstance(msg, wire.RegistrationResponse):
-                try:
-                    self.start_auth(net)  # the key-confirmation round
-                except FogcaError:
-                    self.state.handshake_failed()  # as confirm_auth_key does
-                    raise
+                self._key_installed(net)
             elif isinstance(msg, wire.AuthResponse):
+                self.state.ca_session = state.ca_session
                 self.verdicts.append(Verdict("key-agreement", "OK"))
             else:  # a PeerProof, the last message respond accepts silently
                 self.established.append(event.src.encode())
                 self.verdicts.append(Verdict("peer-established", event.src))
         except FogcaError as exc:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
+
+    def _key_installed(self, net: Network) -> None:
+        """Confirm the key, or take it as confirmed, then send the
+        handshakes that waited for it, 1 ms apart (distinct timestamps)."""
+        if not self.confirm:
+            self.state.confirming = False
+        else:
+            try:
+                payload = wire.encode(self.state.auth_init(), self.state.params)
+            except FogcaError:
+                self.state.handshake_failed()  # as confirm_auth_key does
+                raise
+            self.confirm_by = net.now + self.state.freshness_window_ms
+            self._send(net, wire.AuthResponse, None, payload, self.state)
+        held, self.deferred_auths = self.deferred_auths, 0
+        for k in range(held):
+            server = self.pick_server()
+            net.call_at(net.now + 1 + k,
+                        lambda n, s=server: self.start_auth(n, s))

@@ -279,6 +279,8 @@ class AffinityStore:
             profile = parse_profile(bytes.fromhex(blob))
             channel_key = bytes.fromhex(key)
             _check_channel_key(channel_key)
+            if profile.device_id in store.records:
+                raise ValueError(f"{profile.device_id!r} is listed twice")
             store.records[profile.device_id] = AffinityRecord(
                 profile, channel_key, TrustState(trust), int(since))
 

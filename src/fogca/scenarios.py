@@ -79,6 +79,7 @@ class Fleet:
     def provision(self, ident: bytes) -> ChildState:
         """Manufacturer step: draw the channel key, keep the device's
         profile as its baseline, then draw the device's generator."""
+        wire.check_identity(ident)  # refused before it draws or records
         channel_key = random.Random(self.master.getrandbits(64)).randbytes(32)
         self.profiles[ident] = device_profile(ident)
         self.store.provision(self.profiles[ident], channel_key)
@@ -124,7 +125,8 @@ def build_rig(seed: int, params: curve.CurveParams,
         node_id = ident.decode()
         net.add_node(node_id, role="child")
         net.connect_duplex(node_id, "gw", base_latency_ms=LINK_MS)
-        child_host = ChildHost(node_id, fleet.provision(ident), "custodian")
+        child_host = ChildHost(node_id, fleet.provision(ident),
+                               lambda: "custodian")
         child_host.attach(net)
         children[ident] = child_host
     return _Rig(net, host, children, fleet.announcement)
@@ -236,7 +238,7 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
         wrong_scalar = curve.random_scalar(params, master)
     forged_state.auth_key = curve.scalar_mul(
         params, wrong_scalar, curve.hash_to_point(params, b"cam-01"))
-    mallory = ChildHost("mallory", forged_state, "custodian")
+    mallory = ChildHost("mallory", forged_state, lambda: "custodian")
     mallory.attach(net)
     mallory.start_auth(net)
     net.run()

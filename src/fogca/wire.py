@@ -104,10 +104,20 @@ def _enc_varint(v: int) -> bytes:
     return len(raw).to_bytes(2, "big") + raw
 
 
-def _enc_identity(ident: bytes) -> bytes:
+def check_identity(ident: bytes) -> None:
+    """Raise ValueError unless the wire can carry `ident`: 1 to
+    MAX_IDENTITY_LEN bytes of UTF-8."""
+    message = f"identity must be 1-{MAX_IDENTITY_LEN} bytes of UTF-8"
     if not 1 <= len(ident) <= MAX_IDENTITY_LEN:
-        raise ValueError("identity must be 1-64 bytes")
-    ident.decode("utf-8")  # must be valid UTF-8
+        raise ValueError(message)
+    try:
+        ident.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(message) from None
+
+
+def _enc_identity(ident: bytes) -> bytes:
+    check_identity(ident)
     return bytes([len(ident)]) + ident
 
 

@@ -285,8 +285,9 @@ class TestRevocation:
         lines = [f"CRL {b'cam-01'.hex()} {first_at} {first}",
                  f"CRL {b'cam-01'.hex()} {second_at} {second}"]
         assert a.dump_records() == lines[1:]
-        # a file that lists both revocations loads as the later one
-        a.load_records(lines)
+        # a file that lists both revocations is refused at the later one
+        with pytest.raises(MalformedRecord, match="^line 2: "):
+            a.load_records(lines)
         assert list(a.crl.values()) == [
             authority.CrlEntry(b"cam-01", second_at, second)]
         toy_rig.clock.advance(5)
@@ -305,6 +306,22 @@ class TestRevocation:
             with pytest.raises(MalformedRecord, match="^line 2: "):
                 a.load_records(lines)
             assert list(a.registry) == [] and list(a.crl) == [b"cam-01"]
+
+    @pytest.mark.parametrize("revoked", [False, True])
+    def test_identity_on_two_lines_refused(self, toy_rig, revoked):
+        # a dump lists an identity once; a second line for it is refused
+        # rather than loaded over the first
+        toy_rig.register(b"cam-01")
+        a = toy_rig.authority
+        if revoked:
+            a.revoke(b"cam-01", "policy")
+        held = a.dump_records()
+        [line] = held
+        kind, cid, *fields = line.split()
+        fields[-2 if revoked else -3] = "999"  # revoked_at | issued_at
+        with pytest.raises(MalformedRecord, match="^line 2: .*earlier line"):
+            a.load_records([line, " ".join([kind, cid, *fields])])
+        assert a.dump_records() == held
 
     def test_revoke_bad_reason(self, toy_rig):
         toy_rig.register(b"cam-01")

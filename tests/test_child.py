@@ -33,6 +33,14 @@ class TestRegistrationConfirmation:
         assert child.auth_key is not None
         assert toy_rig.authority.sessions[b"cam-01"][1] == key
 
+    @pytest.mark.parametrize("ident", [b"x" * 65, b"\xff\xfe"])
+    def test_identity_the_wire_cannot_carry(self, toy_rig, ident):
+        drawn = toy_rig.master.getstate()
+        with pytest.raises(ValueError, match="1-64 bytes of UTF-8"):
+            toy_rig.provision(ident)
+        assert toy_rig.master.getstate() == drawn
+        assert toy_rig.profiles == {} and toy_rig.store.records == {}
+
     def test_wrong_channel_key(self, toy_rig):
         child = toy_rig.provision(b"cam-01")
         resp = toy_rig.authority.register_child(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fogca import authority, curve, wire
+from fogca import authority, curve, hosts, wire
 from fogca import experiments as ex
 from fogca.crypto import seal
 from fogca.errors import UnknownDevice, UnknownProfile
@@ -164,13 +164,13 @@ class TestRunExperiment:
         # a timeout past the final retry could only return at once, so
         # none is armed: each one that fires finds a retry left
         fired = []
-        real = ex._Device._maybe_retransmit
+        real = hosts.ChildHost._retransmit
 
         def watched(self, net, txn):
             fired.append((txn.completed_at is None, txn.retries))
             return real(self, net, txn)
 
-        monkeypatch.setattr(ex._Device, "_maybe_retransmit", watched)
+        monkeypatch.setattr(hosts.ChildHost, "_retransmit", watched)
         workload = replace(SMALL, server_capacity=5.0, max_retries=2)
         stats = ex.run_experiment(ex.placement("CloudOnly"), workload, seed=5)
         assert stats.incomplete > 0
@@ -339,14 +339,17 @@ class TestQueuedServer:
 
 
 def _device_rig():
-    """One placement device 5 ms from a `fog-ca` node with no handler,
+    """One placement device (a `ChildHost` that retransmits and skips
+    the confirmation round) 5 ms from a `fog-ca` node with no handler,
     its registration sent at t = 0, and the fleet that provisioned it."""
     net = Network(1)
     net.add_node("fog-ca", role="authority")
     net.add_node("thing-0000", role="child")
     net.connect_duplex("thing-0000", "fog-ca", 5)
     fleet = Fleet(curve.toy17(), random.Random(3), SimClock(net))
-    dev = ex._Device(fleet.provision(b"thing-0000"), SMALL, lambda: "fog-ca")
+    dev = hosts.ChildHost("thing-0000", fleet.provision(b"thing-0000"),
+                          lambda: "fog-ca", SMALL.max_retries,
+                          SMALL.retransmit_timeout_ms, confirm=False)
     dev.attach(net)
     dev.start_registration(net, "fog-ca")
     return net, fleet, dev
@@ -375,9 +378,10 @@ class TestDevice:
         forged = wire.RegistrationResponse(seal(rng.randbytes(32), b"k", rng))
         net.send("fog-ca", "thing-0000", wire.encode(forged))
         net.run()
-        [txn] = dev.stats
+        [txn] = dev.transactions
         assert txn.completed_at is None and txn.retries == SMALL.max_retries
-        assert dev.base.auth_key is None
+        assert dev.state.auth_key is None
+        assert [v.kind for v in dev.verdicts] == ["AuthFailure"]
 
     def test_refused_response_keeps_its_transaction(self):
         # a forged response at t = 0 is refused; the genuine one at
@@ -391,9 +395,9 @@ class TestDevice:
             fleet.profiles[b"thing-0000"])
         net.send("fog-ca", "thing-0000", wire.encode(issued), at=1)
         net.run()
-        [txn] = dev.stats
+        [txn] = dev.transactions
         assert txn.completed_at == 6 and txn.retries == 0
-        assert dev.base.auth_key is not None
+        assert dev.state.auth_key is not None
 
     def test_refused_auth_response_spends_only_its_handshake(self):
         net, fleet, dev = _device_rig()
@@ -406,7 +410,7 @@ class TestDevice:
 
         def start_and_answer(n):
             dev.start_auth(n, "fog-ca")
-            req = wire.decode(dev.stats[-1].payload, fleet.params)
+            req = wire.decode(dev.transactions[-1].payload, fleet.params)
             resp = fleet.authority.handle_auth_request(req)
             n.send("fog-ca", "thing-0000", wire.encode(resp, fleet.params))
 
@@ -415,7 +419,7 @@ class TestDevice:
                  at=10)
         net.call_at(20, start_and_answer)
         net.run()
-        _, spent, answered = dev.stats
+        _, spent, answered = dev.transactions
         assert spent.completed_at is None
         assert answered.completed_at == 25 and answered.retries == 0
 
@@ -431,9 +435,42 @@ class TestDevice:
             fleet.profiles[b"thing-0000"])
         net.send("fog-ca", "thing-0000", wire.encode(issued), at=1)
         net.run()
-        [txn] = dev.stats
+        [txn] = dev.transactions
         assert txn.completed_at == 6 and txn.retries == 0
-        assert dev.base.auth_key is not None
+        assert dev.registered and dev.state.auth_key is not None
+        # the stray ran on the device's own state and was refused there
+        assert len(dev.verdicts) == 1
+
+    def test_stray_auth_response_keeps_the_key(self):
+        # no confirmation round runs, so the key is not left
+        # `confirming`, and an AuthResponse that no handshake awaits is
+        # refused without dropping it
+        net, fleet, dev = _device_rig()
+        issued = fleet.authority.register_child(
+            wire.RegistrationRequest(b"thing-0000"),
+            fleet.profiles[b"thing-0000"])
+        net.send("fog-ca", "thing-0000", wire.encode(issued))
+        point = fleet.params.base_point
+        net.send("fog-ca", "thing-0000",
+                 wire.encode(wire.AuthResponse(point, point, 10),
+                             fleet.params), at=10)
+        net.run()
+        assert [v.kind for v in dev.verdicts] == ["NoPendingChallenge"]
+        assert dev.registered and dev.state.auth_key is not None
+
+    def test_auth_before_the_key_waits_for_it(self):
+        net, fleet, dev = _device_rig()
+        dev.start_auth(net, "fog-ca")
+        assert len(dev.transactions) == 1 and dev.deferred_auths == 1
+        issued = fleet.authority.register_child(
+            wire.RegistrationRequest(b"thing-0000"),
+            fleet.profiles[b"thing-0000"])
+        net.send("fog-ca", "thing-0000", wire.encode(issued))
+        net.run()
+        registration, handshake = dev.transactions
+        assert registration.completed_at == 5 and registration.state is None
+        assert handshake.reply is wire.AuthResponse
+        assert handshake.first_sent == 6 and dev.deferred_auths == 0
 
 
 class TestSweep:

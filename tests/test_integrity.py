@@ -382,6 +382,12 @@ class TestPersistence:
             state.load_records(["REG 61 00 0 -", bad])
         assert state.registry == {} and state.is_revoked(b"b")
 
+    def test_device_on_two_lines_refused(self):
+        line = _affinity_line(serialize_profile(profile(b"ok")))
+        with pytest.raises(MalformedRecord, match="^line 2: .*listed twice"):
+            AffinityStore.from_lines([line, _affinity_line(
+                serialize_profile(profile(b"ok")), "quarantined")])
+
     def test_short_channel_key_line_names_its_number(self):
         good = _affinity_line(serialize_profile(profile(b"ok")))
         short = f"{serialize_profile(profile()).hex()} {'01' * 16} trusted 0"

@@ -108,6 +108,20 @@ class TestHostsOverNetwork:
         b = rig.children[b"lock-02"].state
         assert a.peer_sessions[b"lock-02"] == b.peer_sessions[b"cam-01"]
 
+    def test_handshake_after_registration_renews_the_session(self):
+        # it runs on a state of its own, and its session is the device's
+        rig = scenarios.build_rig(5, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        host.start_registration(rig.net)
+        rig.net.run()
+        confirmed = host.state.ca_session
+        host.start_auth(rig.net)
+        rig.net.run()
+        assert [v.kind for v in host.verdicts] == ["key-agreement"] * 2
+        assert host.state.ca_session != confirmed
+        assert host.state.ca_session == \
+            rig.authority_host.state.sessions[b"cam-01"]
+
     def test_duplicated_peer_proof_hits_single_use(self):
         params = curve.toy17()
         rig = scenarios.build_rig(6, params, [b"cam-01", b"lock-02"])
@@ -311,6 +325,23 @@ class TestClockSkew:
         authority_saw, child_saw, host = self.register_skewed(skew_ms)
         assert (authority_saw, child_saw) == (["StaleTimestamp"], [])
         assert host.state.confirming and not host.registered
+
+    @pytest.mark.parametrize("late_ms", [0, 1])
+    def test_next_action_after_the_window_ends_the_round(self, late_ms):
+        # the round starts when the key arrives, at 5,010 ms; once the
+        # window has passed its T1 is stale, so no answer can confirm
+        # the key and the host's next action drops it
+        rig = scenarios.build_rig(3, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        host.state.clock = SimClock(rig.net, skew_ms=6)
+        rig.net.call_at(5000, host.start_registration)
+        rig.net.run()
+        window = rig.authority_host.state.freshness_window_ms
+        rig.net.call_at(5010 + window + late_ms, host.start_auth)
+        rig.net.run()
+        assert host.state.confirming == (late_ms == 0)
+        assert (host.state.auth_key is None) == (late_ms == 1)
+        assert not host.registered
 
     @pytest.mark.parametrize("skew_ms", [-50, 2**64])
     def test_clock_outside_u64_is_a_verdict(self, skew_ms):
