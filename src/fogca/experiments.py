@@ -2,15 +2,17 @@
 
 Five traffic splits, named by the keys of SETTING_FRACTIONS, route each
 transaction to a fog-hosted CA instance or to the remote cloud instance.
-Both instances are the same logical CA (shared registry and session
-table); each is a FIFO queue with a deterministic service time, and the
-links and the cloud's capacity share come from the frozen calibration
-in LINK_PROFILES.  Each device is a `hosts.ChildHost` that runs the
-real registration and mutual-authentication exchanges over the
-simulated network, retransmits when a response is late (the duplicate
-is refused by the replay cache but still consumes server capacity,
-which is the congestion-inflation effect), and every delay statistic
-comes out of its completed transactions.
+Both instances are the same logical CA (shared registry, session table
+and decoded requests); each is a `hosts.AuthorityHost`, a FIFO queue
+with a deterministic service time that records every refusal as a
+verdict, and the links and the cloud's capacity share come from the
+frozen calibration in LINK_PROFILES.  Each device is a
+`hosts.ChildHost` that runs the real registration and
+mutual-authentication exchanges over the simulated network,
+retransmits when a response is late (the duplicate is refused by the
+replay cache but still consumes server capacity, which is the
+congestion-inflation effect), and every delay statistic comes out of
+its completed transactions.
 
 Transactions overlap freely: a device may have several handshakes in
 flight, each on its own handshake state and matched to its response by
@@ -29,12 +31,11 @@ from __future__ import annotations
 import csv
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 
-from . import authority, curve, wire
-from .errors import FogcaError, UnknownProfile
-from .hosts import ChildHost, answer
+from . import curve, wire
+from .errors import UnknownProfile
+from .hosts import AuthorityHost, ChildHost
 from .scenarios import Fleet
 from .simnet import Network, SimClock
 
@@ -161,57 +162,6 @@ class DelayStats:
         return self.registration.count == 0 and self.auth.count == 0
 
 
-class _QueuedServer:
-    """FIFO single server: each arriving request waits for the queue,
-    then takes one deterministic service slot before being answered.
-
-    Waiting requests sit in a deque and only the head has a timer on the
-    network, pushed under the insertion number its request took on
-    arrival; completions strictly increase, so the network runs each
-    one exactly where a timer set on arrival would have run.  `decoded`
-    maps payload bytes to their message and is shared by the instances
-    of one CA: a retransmit is decoded once, a malformed payload every
-    time it is served."""
-
-    def __init__(self, node_id: str, state: authority.AuthorityState,
-                 capacity_tps: float, profiles,
-                 decoded: dict[bytes, wire.ProtocolMessage]):
-        self.node_id = node_id
-        self.state = state
-        self.service_ms = max(1, round(1000.0 / capacity_tps))
-        self.profiles = profiles
-        self.decoded = decoded
-        self.busy_until = 0
-        self.tasks = 0
-        self.waiting: deque[tuple[int, int, str, bytes]] = deque()
-
-    def attach(self, net: Network) -> None:
-        net.set_handler(self.node_id, self.on_delivery)
-
-    def on_delivery(self, net: Network, event) -> None:
-        self.tasks += 1
-        done = self.busy_until = max(net.now, self.busy_until) + self.service_ms
-        ticket = net.ticket()
-        self.waiting.append((done, ticket, event.src, event.payload))
-        if len(self.waiting) == 1:
-            net.schedule(done, ticket, self.process)
-
-    def process(self, net: Network) -> None:
-        _, _, src, payload = self.waiting.popleft()
-        if self.waiting:
-            done, ticket, _, _ = self.waiting[0]
-            net.schedule(done, ticket, self.process)
-        try:
-            msg = self.decoded.get(payload)
-            if msg is None:
-                msg = self.decoded[payload] = wire.decode(payload,
-                                                          self.state.params)
-            dest, reply = answer(self.state, self.profiles, src, msg)
-        except FogcaError:
-            return  # refusals (replayed retransmits, duplicates) are silent
-        net.send(self.node_id, dest, reply)
-
-
 def _build_network(profile: LinkProfile, node_ids, seed: int) -> Network:
     net = Network(seed)
     net.add_node("cloud-ca", role="authority")
@@ -254,10 +204,11 @@ def run_experiment(setting: str, workload: WorkloadSpec,
 
     decoded = {}  # one logical CA: both instances share decoded requests
     cloud_capacity = workload.server_capacity * profile.cloud_capacity_scale
-    fog = _QueuedServer("fog-ca", fleet.authority, workload.server_capacity,
-                        fleet.profiles, decoded)
-    cloud = _QueuedServer("cloud-ca", fleet.authority, cloud_capacity,
-                          fleet.profiles, decoded)
+    fog = AuthorityHost("fog-ca", fleet.authority, fleet.profiles,
+                        max(1, round(1000 / workload.server_capacity)),
+                        decoded)
+    cloud = AuthorityHost("cloud-ca", fleet.authority, fleet.profiles,
+                          max(1, round(1000 / cloud_capacity)), decoded)
     fog.attach(net)
     cloud.attach(net)
 
@@ -284,7 +235,7 @@ def run_experiment(setting: str, workload: WorkloadSpec,
             net.call_at(at, lambda n_, d=dev, s=dest: d.start_auth(n_, s))
 
     net.run()
-    # the handlers close a cycle (net -> servers -> CA state -> clock ->
+    # the handlers close a cycle (net -> hosts -> CA state -> clock ->
     # net); dropping them frees the run at return, not at a full gc pass
     net.handlers.clear()
 

@@ -8,7 +8,8 @@ decoded once.  Refusals never cross the wire; they are recorded as
 verdicts on the refusing side, which is what the attack scenarios
 assert on.  Whether an issued key awaits its confirmation is the
 child's own state, `ChildState.confirming`.  `ChildHost` drives every
-device, in the attack gallery and the placement study alike.
+device and `AuthorityHost` every CA instance, in the attack gallery and
+the placement study alike.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -26,7 +27,7 @@ from .errors import FogcaError, UnexpectedMessage, UnknownDevice
 from .simnet import Network, SimEvent
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     kind: str      # e.g. "ReplayDetected", "key-agreement"
     detail: str = ""
@@ -78,23 +79,57 @@ def respond(state: ChildState, src: str,
 
 
 class AuthorityHost:
-    """Drives an AuthorityState on one network node."""
+    """Drives an AuthorityState on one network node as a FIFO single
+    server: a request waits for those before it, then `service_ms`, and
+    one that no service time delays is answered at its delivery.  Only
+    the head of `waiting` has a timer, under the insertion number its
+    request took on arrival, so each runs where a timer set on arrival
+    would have.  `decoded` (payload -> message) may be shared by the
+    hosts of one CA: a request served again is decoded once."""
 
-    def __init__(self, node_id: str, state: AuthorityState, reported_profiles):
+    def __init__(self, node_id: str, state: AuthorityState, reported_profiles,
+                 service_ms: int = 0,
+                 decoded: dict[bytes, wire.ProtocolMessage] | None = None):
         self.node_id = node_id
         self.state = state
         # device reports arrive out of band with the registration request
         self.reported_profiles = reported_profiles
+        self.service_ms = service_ms
+        self.decoded = {} if decoded is None else decoded
+        self.busy_until = 0
+        self.tasks = 0
+        self.waiting: deque[tuple[int, int, str, bytes]] = deque()
         self.verdicts: list[Verdict] = []
 
     def attach(self, net: Network) -> None:
         net.set_handler(self.node_id, self.handle)
 
     def handle(self, net: Network, event: SimEvent) -> None:
+        self.tasks += 1
+        if not self.service_ms:
+            self._serve(net, event.src, event.payload)
+            return
+        done = self.busy_until = max(net.now, self.busy_until) + self.service_ms
+        ticket = net.ticket()
+        self.waiting.append((done, ticket, event.src, event.payload))
+        if len(self.waiting) == 1:
+            net.schedule(done, ticket, self._process)
+
+    def _process(self, net: Network) -> None:
+        _, _, src, payload = self.waiting.popleft()
+        if self.waiting:
+            done, ticket, _, _ = self.waiting[0]
+            net.schedule(done, ticket, self._process)
+        self._serve(net, src, payload)
+
+    def _serve(self, net: Network, src: str, payload: bytes) -> None:
         try:
-            msg = wire.decode(event.payload, self.state.params)
+            msg = self.decoded.get(payload)
+            if msg is None:
+                msg = self.decoded[payload] = wire.decode(payload,
+                                                          self.state.params)
             net.send(self.node_id, *answer(self.state, self.reported_profiles,
-                                           event.src, msg))
+                                           src, msg))
         except FogcaError as exc:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
@@ -163,14 +198,20 @@ class ChildHost:
             self.deferred_auths += 1
             return
         handshake = self.state.handshake()
-        self._send(net, wire.AuthResponse, server,
-                   wire.encode(handshake.auth_init(), self.state.params),
-                   handshake)
+        try:
+            self._send(net, wire.AuthResponse, server,
+                       wire.encode(handshake.auth_init(), self.state.params),
+                       handshake)
+        except FogcaError as exc:
+            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
     def start_peer(self, net: Network, peer_id: bytes) -> None:
         self._settle(net)
-        net.send(self.node_id, self.pick_server(),
-                 wire.encode(self.state.peer_init(peer_id), self.state.params))
+        try:
+            net.send(self.node_id, self.pick_server(), wire.encode(
+                self.state.peer_init(peer_id), self.state.params))
+        except FogcaError as exc:
+            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
     def _send(self, net: Network, reply: type, server: str | None,
               payload: bytes, state: ChildState) -> None:

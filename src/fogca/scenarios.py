@@ -111,6 +111,8 @@ def build_rig(seed: int, params: curve.CurveParams,
 
     Child traffic (to the custodian or to a peer) crosses the child's
     own gateway link, which is where scenarios attach the adversary.
+    Each scenario drops the handlers after its last run: they close a
+    cycle (net -> hosts -> clock -> net) that only a gc pass would free.
     """
     master = random.Random(seed)
     net = Network(master.getrandbits(32))
@@ -165,6 +167,7 @@ def run_passive(seed: int, params: curve.CurveParams | None = None) -> ScenarioR
     cam = rig.children[b"cam-01"]
     cam.start_peer(rig.net, b"lock-02")
     rig.net.run()
+    rig.net.handlers.clear()
 
     completed = (all(c.registered for c in rig.children.values())
                  and b"cam-01" in rig.children[b"lock-02"].established)
@@ -206,6 +209,7 @@ def run_replay(seed: int, params: curve.CurveParams | None = None,
     rig.net.attach_adversary(("cam-01", "gw"), policy, params)
     rig.children[b"cam-01"].start_registration(rig.net)
     rig.net.run()
+    rig.net.handlers.clear()
     observed = _verdicts(rig)
     return ScenarioReport(
         "replay-stale" if stale else "replay-fresh", seed,
@@ -242,6 +246,7 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
     mallory.attach(net)
     mallory.start_auth(net)
     net.run()
+    net.handlers.clear()
     observed = _verdicts(rig) + [v.kind for v in mallory.verdicts]
     return ScenarioReport(
         "impersonate", seed,
@@ -272,6 +277,7 @@ def run_tamper(seed: int, params: curve.CurveParams | None = None) -> ScenarioRe
     rig.net.attach_adversary(("gw", "cam-01"), policy, params)
     rig.children[b"cam-01"].start_registration(rig.net)
     rig.net.run()
+    rig.net.handlers.clear()
     observed = _verdicts(rig)
     return ScenarioReport(
         "tamper", seed,

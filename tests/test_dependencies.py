@@ -27,6 +27,30 @@ def test_only_stdlib_and_cryptography_imported():
     assert not outside
 
 
+def test_every_imported_name_is_used():
+    # `__init__` imports only to re-export
+    unused = set()
+    for path in sorted((SRC / "fogca").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = \
+                        node.lineno
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused.update(f"{path.name}:{line}: {name}"
+                      for name, line in imported.items() if name not in used)
+    assert not unused
+
+
 def test_import_loads_no_numpy():
     code = "import sys, fogca, fogca.cli\nprint('numpy' in sys.modules)\n"
     out = subprocess.run([sys.executable, "-c", code], check=True,

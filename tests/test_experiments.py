@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -234,8 +235,8 @@ def _server_rig():
     state, _ = authority.setup(curve.toy17(), random.Random(2),
                                SimClock(net))
     decoded = {}
-    fog = ex._QueuedServer("fog-ca", state, 500.0, {}, decoded)
-    cloud = ex._QueuedServer("cloud-ca", state, 500.0, {}, decoded)
+    fog = hosts.AuthorityHost("fog-ca", state, {}, 2, decoded)
+    cloud = hosts.AuthorityHost("cloud-ca", state, {}, 2, decoded)
     fog.attach(net)
     cloud.attach(net)
     return net, state, fog, cloud
@@ -255,7 +256,21 @@ def _log_serving(monkeypatch, net, log):
         log.append(("served", msg.child_id, net.now))
         raise UnknownDevice("logged")
 
-    monkeypatch.setattr(ex, "answer", fake_answer)
+    monkeypatch.setattr(hosts, "answer", fake_answer)
+
+
+@pytest.fixture
+def built_hosts(monkeypatch):
+    """Every AuthorityHost built while the test runs, in order."""
+    built = []
+    real = hosts.AuthorityHost.__init__
+
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(hosts.AuthorityHost, "__init__", spy)
+    return built
 
 
 @pytest.fixture
@@ -272,8 +287,8 @@ def decode_calls(monkeypatch):
     return calls
 
 
-class TestQueuedServer:
-    def test_unprovisioned_registration_refused_silently(self):
+class TestAuthorityHostQueue:
+    def test_unprovisioned_registration_is_a_verdict(self):
         net, state, fog, _ = _server_rig()
         to_ghost = _record_ghost(net)
         net.send("ghost", "fog-ca",
@@ -281,6 +296,27 @@ class TestQueuedServer:
         net.run()
         assert to_ghost == [] and net.accounting["delivered"] == 1
         assert fog.tasks == 1 and state.registry == {}
+        assert [v.kind for v in fog.verdicts] == ["UnknownDevice"]
+
+    def test_service_time_at_500_tasks_per_second(self, built_hosts):
+        ex.run_experiment(ex.placement("FogOnly"), SMALL, seed=1)
+        fog, cloud = built_hosts
+        assert (fog.node_id, fog.service_ms) == ("fog-ca", 2)
+        assert (cloud.node_id, cloud.service_ms) == ("cloud-ca", 91)
+
+    def test_saturated_cloud_refusals_pinned(self, built_hosts):
+        # the fogbench placement-cloud120 experiment: most of what the
+        # saturated cloud instance serves is a retransmit it refuses
+        seed = random.Random(2011).getrandbits(32)
+        stats = ex.run_experiment(
+            ex.placement("CloudOnly"),
+            replace(ex.DEFAULT_WORKLOAD, node_count=120), seed)
+        fog, cloud = built_hosts
+        assert (stats.cloud_tasks, cloud.tasks, fog.tasks) == (12_702,
+                                                               12_702, 0)
+        assert Counter(v.kind for v in cloud.verdicts) == {
+            "ReplayDetected": 5_528, "StaleTimestamp": 5_422,
+            "DuplicateRegistration": 547}
 
     def test_back_to_back_arrivals_complete_in_arrival_order(self, monkeypatch):
         net, _, fog, _ = _server_rig()
@@ -334,6 +370,7 @@ class TestQueuedServer:
         net.run()
         assert to_ghost == [] and net.accounting["delivered"] == 2
         assert fog.tasks == 2 and fog.decoded == {}
+        assert [v.kind for v in fog.verdicts] == ["DecodeError"] * 2
         assert decode_calls == [b"\xff\x00junk"] * 2
         assert net.accounting["sent"] == 2 and state.registry == {}
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -92,6 +94,66 @@ class TestRunScenario:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             scenarios.run_scenario("quantum", 1)
+
+
+class TestRigFreed:
+    @pytest.mark.parametrize("name", scenarios.SCENARIOS)
+    def test_network_freed_without_gc(self, monkeypatch, name):
+        # no reference cycle outlives a scenario, so its rig is freed by
+        # reference counting alone
+        nets = []
+        real = scenarios.build_rig
+
+        def recording(*args):
+            rig = real(*args)
+            nets.append(weakref.ref(rig.net))
+            return rig
+
+        monkeypatch.setattr(scenarios, "build_rig", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            scenarios.run_scenario(name, 4, curve.toy17())
+            assert nets and [ref() for ref in nets] == [None] * len(nets)
+        finally:
+            gc.enable()
+
+
+class TestHostActions:
+    """A refusal raised while a child host starts an exchange is a
+    verdict, as one raised while it handles a delivery is."""
+
+    def test_peer_exchange_before_registration(self):
+        rig = scenarios.build_rig(3, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        rig.net.call_at(1, lambda n: host.start_peer(n, b"lock-02"))
+        rig.net.run()
+        assert [v.kind for v in host.verdicts] == ["NoCaSession"]
+        assert rig.net.accounting["sent"] == 0
+
+    @pytest.mark.parametrize("skew_ms", [-10_000, 2**64])
+    def test_handshake_on_a_clock_outside_u64(self, skew_ms):
+        rig = scenarios.build_rig(3, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        host.start_registration(rig.net)
+        rig.net.run()
+        sent = rig.net.accounting["sent"]
+        host.state.clock = SimClock(rig.net, skew_ms=skew_ms)
+        rig.net.call_at(rig.net.now + 1, host.start_auth)
+        rig.net.run()
+        assert [v.kind for v in host.verdicts] == ["key-agreement",
+                                                   "TimestampOutOfRange"]
+        assert rig.net.accounting["sent"] == sent
+        assert len(host.transactions) == 2 and host.registered
+
+    def test_bad_peer_identity_still_raises(self):
+        rig = scenarios.build_rig(3, curve.toy17(), [b"cam-01"])
+        host = rig.children[b"cam-01"]
+        host.start_registration(rig.net)
+        rig.net.run()
+        with pytest.raises(ValueError):
+            host.start_peer(rig.net, b"\xff\xfe")
+        assert [v.kind for v in host.verdicts] == ["key-agreement"]
 
 
 class TestHostsOverNetwork:
