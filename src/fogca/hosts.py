@@ -158,7 +158,9 @@ class ChildHost:
     the device's own state confirms an installed key, which the first
     action or delivery after the freshness window drops if that round
     is still open.  Other handshakes run on states of their own, so that
-    several can be in flight; one started without a key waits for it."""
+    several can be in flight; one started without a key waits for it, and
+    one started in the ms of the last AuthRequest, whose T1 it would
+    repeat, runs 1 ms later."""
 
     def __init__(self, node_id: str, state: ChildState, pick_server,
                  max_retries: int = 0, retransmit_timeout_ms: int = 0,
@@ -174,6 +176,7 @@ class ChildHost:
         self.outstanding: dict[tuple[str, type], deque[Transaction]] = {}
         self.deferred_auths = 0
         self.confirm_by: int | None = None  # the confirmation round's end
+        self.auth_sent_at: int | None = None  # the ms of the last AuthRequest
         self.established: list[bytes] = []
         self.verdicts: list[Verdict] = []
 
@@ -197,6 +200,9 @@ class ChildHost:
         if self.state.auth_key is None:
             self.deferred_auths += 1
             return
+        if net.now == self.auth_sent_at:  # one T1 twice is a replay
+            net.call_at(net.now + 1, lambda n: self.start_auth(n, server))
+            return
         handshake = self.state.handshake()
         try:
             self._send(net, wire.AuthResponse, server,
@@ -219,6 +225,8 @@ class ChildHost:
                           net.now)
         self.transactions.append(txn)
         self.outstanding.setdefault((txn.dest, reply), deque()).append(txn)
+        if reply is wire.AuthResponse:
+            self.auth_sent_at = net.now
         net.send(self.node_id, txn.dest, payload)
         self._arm_timeout(net, txn)
 

@@ -509,6 +509,31 @@ class TestDevice:
         assert handshake.reply is wire.AuthResponse
         assert handshake.first_sent == 6 and dev.deferred_auths == 0
 
+    def test_one_auth_request_per_ms(self):
+        # the handshake that waited for the key is released at 11 ms,
+        # where the device's own schedule starts one too: sent in one ms,
+        # they would carry one T1, and the CA would refuse the second as
+        # a replay that the device then matches to the wrong response
+        net = Network(1)
+        net.add_node("ca", role="authority")
+        net.add_node("thing", role="child")
+        net.connect_duplex("thing", "ca", 5)
+        fleet = Fleet(curve.toy17(), random.Random(3), SimClock(net))
+        ca = hosts.AuthorityHost("ca", fleet.authority, fleet.profiles)
+        dev = hosts.ChildHost("thing", fleet.provision(b"thing"), lambda: "ca")
+        ca.attach(net)
+        dev.attach(net)
+        dev.start_registration(net)
+        dev.start_auth(net)
+        net.call_at(11, dev.start_auth)
+        net.run()
+        sent = [wire.decode(t.payload, fleet.params).sent_at
+                for t in dev.transactions if t.reply is wire.AuthResponse]
+        assert sent == [10, 11, 12]
+        assert all(t.completed_at is not None for t in dev.transactions)
+        assert ca.verdicts == []
+        assert [v.kind for v in dev.verdicts] == ["key-agreement"] * 3
+
 
 class TestSweep:
     def test_counts_must_ascend(self):
