@@ -16,10 +16,10 @@ its completed transactions.
 
 Transactions overlap freely: a device may have several handshakes in
 flight, each on its own handshake state and matched to its response by
-per-(device, server) FIFO order, which the drop-free, jitter-free
-default profile guarantees.  A device installs the issued key without
-the key-confirmation round that the gallery and `Fleet.register` run,
-so the registration delay leaves out one handshake: a model choice.
+per-(device, server) FIFO order, which links without jitter or loss
+guarantee.  A device confirms its issued key with one handshake, as the
+gallery and `Fleet.register` do: that round counts as a handshake, and a
+registration's delay ends when its key is installed.
 
 The protocol math runs on the toy curve by default: placement delays
 come from links and queues, not from field sizes, and the cryptographic
@@ -92,20 +92,18 @@ DEFAULT_WORKLOAD = WorkloadSpec()
 class LinkProfile:
     thing_fog_ms: int
     fog_cloud_ms: int
-    jitter_ms: int
-    drop_probability: float
     cloud_capacity_scale: float
 
 
 # Frozen calibration for the placement study.  Latencies are one-way per
-# link.  The cloud CA instance fronts a large shared key store far from
-# the devices; its per-task service budget is a fixed fraction of a
-# dedicated fog instance's, which is what cloud_capacity_scale captures.
-# These values were calibrated once so the placement ratios land inside
-# the claimed bands, then frozen.
+# link; no link jitters or drops.  The cloud CA instance fronts a large
+# shared key store far from the devices; its per-task service budget is
+# a fixed fraction of a dedicated fog instance's, which is what
+# cloud_capacity_scale captures.  These values were calibrated once so
+# the placement ratios land inside the claimed bands, then frozen.
 LINK_PROFILES = {
-    "default": LinkProfile(thing_fog_ms=5, fog_cloud_ms=80, jitter_ms=0,
-                           drop_probability=0.0, cloud_capacity_scale=0.022),
+    "default": LinkProfile(thing_fog_ms=5, fog_cloud_ms=80,
+                           cloud_capacity_scale=0.022),
 }
 
 
@@ -167,14 +165,11 @@ def _build_network(profile: LinkProfile, node_ids, seed: int) -> Network:
     net.add_node("cloud-ca", role="authority")
     net.add_node("fog-ca", role="authority")
     net.add_node("gw", role="proxy")
-    net.connect_duplex("gw", "fog-ca", 0, profile.jitter_ms,
-                       profile.drop_probability)
-    net.connect_duplex("gw", "cloud-ca", profile.fog_cloud_ms,
-                       profile.jitter_ms, profile.drop_probability)
+    net.connect_duplex("gw", "fog-ca", 0)
+    net.connect_duplex("gw", "cloud-ca", profile.fog_cloud_ms)
     for node_id in node_ids:
         net.add_node(node_id, role="child")
-        net.connect_duplex(node_id, "gw", profile.thing_fog_ms,
-                           profile.jitter_ms, profile.drop_probability)
+        net.connect_duplex(node_id, "gw", profile.thing_fog_ms)
     return net
 
 
@@ -199,7 +194,7 @@ def run_experiment(setting: str, workload: WorkloadSpec,
 
     devices = [ChildHost(node_id, fleet.provision(node_id.encode()),
                          pick_server, workload.max_retries,
-                         workload.retransmit_timeout_ms, confirm=False)
+                         workload.retransmit_timeout_ms)
                for node_id in node_ids]
 
     decoded = {}  # one logical CA: both instances share decoded requests

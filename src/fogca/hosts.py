@@ -8,8 +8,9 @@ decoded once.  Refusals never cross the wire; they are recorded as
 verdicts on the refusing side, which is what the attack scenarios
 assert on.  Whether an issued key awaits its confirmation is the
 child's own state, `ChildState.confirming`.  `ChildHost` drives every
-device and `AuthorityHost` every CA instance, in the attack gallery and
-the placement study alike.
+device, and each confirms its issued key with one handshake;
+`AuthorityHost` drives every CA instance.  Both serve the attack gallery
+and the placement study alike.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -154,23 +155,21 @@ class ChildHost:
     afresh, every `retransmit_timeout_ms` while retries remain.  A
     refused response spends a handshake but leaves a registration
     waiting; a message that no transaction awaits runs on the device's
-    own state; refusals are verdicts.  With `confirm`, a handshake on
-    the device's own state confirms an installed key, which the first
-    action or delivery after the freshness window drops if that round
-    is still open.  Other handshakes run on states of their own, so that
-    several can be in flight; one started without a key waits for it, and
-    one started in the ms of the last AuthRequest, whose T1 it would
-    repeat, runs 1 ms later."""
+    own state; refusals are verdicts.  A handshake on the device's own
+    state confirms an installed key, which the first action or delivery
+    after the freshness window drops if that round is still open.
+    Other handshakes run on states of their own, so that several can be
+    in flight; one started without a key waits for it, and one started
+    in the ms of the last AuthRequest, whose T1 it would repeat, runs
+    1 ms later."""
 
     def __init__(self, node_id: str, state: ChildState, pick_server,
-                 max_retries: int = 0, retransmit_timeout_ms: int = 0,
-                 confirm: bool = True):
+                 max_retries: int = 0, retransmit_timeout_ms: int = 0):
         self.node_id = node_id
         self.state = state
         self.pick_server = pick_server
         self.max_retries = max_retries
         self.retransmit_timeout_ms = retransmit_timeout_ms
-        self.confirm = confirm
         self.transactions: list[Transaction] = []
         # per (server, awaited response type), in send order
         self.outstanding: dict[tuple[str, type], deque[Transaction]] = {}
@@ -284,18 +283,15 @@ class ChildHost:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
     def _key_installed(self, net: Network) -> None:
-        """Confirm the key, or take it as confirmed, then send the
-        handshakes that waited for it, 1 ms apart (distinct timestamps)."""
-        if not self.confirm:
-            self.state.confirming = False
-        else:
-            try:
-                payload = wire.encode(self.state.auth_init(), self.state.params)
-            except FogcaError:
-                self.state.handshake_failed()  # as confirm_auth_key does
-                raise
-            self.confirm_by = net.now + self.state.freshness_window_ms
-            self._send(net, wire.AuthResponse, None, payload, self.state)
+        """Confirm the key, then send the handshakes that waited for it,
+        1 ms apart (distinct timestamps)."""
+        try:
+            payload = wire.encode(self.state.auth_init(), self.state.params)
+        except FogcaError:
+            self.state.handshake_failed()  # as confirm_auth_key does
+            raise
+        self.confirm_by = net.now + self.state.freshness_window_ms
+        self._send(net, wire.AuthResponse, None, payload, self.state)
         held, self.deferred_auths = self.deferred_auths, 0
         for k in range(held):
             server = self.pick_server()

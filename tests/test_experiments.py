@@ -112,54 +112,54 @@ class TestRunExperiment:
         assert a == b
 
     def test_saturated_cloud_run_pinned(self):
-        # recorded from the simulator before routes were memoized; any
-        # change to event order, routing or randomness moves these
+        # any change to event order, routing or randomness moves these;
+        # `auth` counts each device's confirmation round
         stats = ex.run_experiment(ex.placement("CloudOnly"),
                                   ex.DEFAULT_WORKLOAD, seed=1)
         assert stats == ex.DelayStats(
-            registration=ex.TxnStats(count=40, mean_ms=19903.4, p50_ms=345.5,
-                                     p95_ms=108764.49999999996,
-                                     max_ms=134874.0),
-            auth=ex.TxnStats(count=617, mean_ms=42526.267423014586,
-                             p50_ms=8707.0, p95_ms=147645.79999999996,
-                             max_ms=177898.0),
-            retransmission_count=2133, cloud_tasks=2790, fog_tasks=0,
-            cloud_utilization_pct=422.72727272727275, fog_utilization_pct=0.0,
+            registration=ex.TxnStats(count=40, mean_ms=24016.825, p50_ms=348.0,
+                                     p95_ms=122228.39999999997,
+                                     max_ms=148711.0),
+            auth=ex.TxnStats(count=657, mean_ms=50328.412480974126,
+                             p50_ms=14383.0, p95_ms=163454.19999999998,
+                             max_ms=190182.0),
+            retransmission_count=2383, cloud_tasks=3080, fog_tasks=0,
+            cloud_utilization_pct=466.6666666666667, fog_utilization_pct=0.0,
             incomplete=0)
 
     def test_saturated_cloud_120_run_pinned(self):
-        # the benchmark's placement-cloud120 experiment, recorded before
-        # the CA backlog left the event heap and decodes were memoized
+        # the benchmark's placement-cloud120 experiment; 80 of its
+        # confirmation rounds are among the incomplete transactions
         stats = ex.run_experiment(
             ex.placement("CloudOnly"),
             replace(ex.DEFAULT_WORKLOAD, node_count=120),
             seed=random.Random(2011).getrandbits(32))
         assert stats == ex.DelayStats(
-            registration=ex.TxnStats(count=120, mean_ms=186897.01666666666,
-                                     p50_ms=138079.5,
-                                     p95_ms=517837.89999999997,
-                                     max_ms=562647.0),
-            auth=ex.TxnStats(count=1085, mean_ms=247939.63133640552,
-                             p50_ms=240815.0, p95_ms=552215.0,
-                             max_ms=597504.0),
-            retransmission_count=10767, cloud_tasks=12702, fog_tasks=0,
-            cloud_utilization_pct=1924.5454545454545, fog_utilization_pct=0.0,
-            incomplete=730)
+            registration=ex.TxnStats(count=120, mean_ms=192318.58333333334,
+                                     p50_ms=151276.5,
+                                     p95_ms=514090.69999999995,
+                                     max_ms=558827.0),
+            auth=ex.TxnStats(count=1057, mean_ms=242889.0189214759,
+                             p50_ms=235663.0, p95_ms=540237.2,
+                             max_ms=567833.0),
+            retransmission_count=11531, cloud_tasks=13586, fog_tasks=0,
+            cloud_utilization_pct=2058.4848484848485, fog_utilization_pct=0.0,
+            incomplete=878)
 
     def test_fairly_shared_run_pinned(self):
-        # acceptance 8's run, recorded before the event loop forwarded
-        # plain hops itself; its gw -> fog-ca link is 0 ms, so many
+        # acceptance 8's run; its gw -> fog-ca link is 0 ms, so many
         # events tie on the same ms
         stats = ex.run_experiment(ex.placement("FairlyShared"),
                                   ex.DEFAULT_WORKLOAD, seed=4242)
         assert stats == ex.DelayStats(
             registration=ex.TxnStats(count=40, mean_ms=105.675, p50_ms=12.0,
                                      p95_ms=323.89999999999975, max_ms=452.0),
-            auth=ex.TxnStats(count=617, mean_ms=146.5931928687196,
-                             p50_ms=12.0, p95_ms=364.0, max_ms=582.0),
-            retransmission_count=0, cloud_tasks=307, fog_tasks=350,
-            cloud_utilization_pct=46.515151515151516,
-            fog_utilization_pct=1.1666666666666667, incomplete=0)
+            auth=ex.TxnStats(count=657, mean_ms=146.96955859969557,
+                             p50_ms=12.0, p95_ms=375.19999999999993,
+                             max_ms=582.0),
+            retransmission_count=0, cloud_tasks=321, fog_tasks=376,
+            cloud_utilization_pct=48.63636363636363,
+            fog_utilization_pct=1.2533333333333334, incomplete=0)
 
     def test_no_timeout_after_the_last_retry(self, monkeypatch):
         # a timeout past the final retry could only return at once, so
@@ -190,6 +190,22 @@ class TestRunExperiment:
         assert stats.retransmission_count == 0
         assert stats.fog_utilization_pct < 100
         assert stats.auth.max_ms < SMALL.retransmit_timeout_ms
+
+    def test_honest_runs_refuse_nothing_at_the_devices(self, built_devices):
+        # every response a device receives completes the handshake it was
+        # matched to: a refusal here means two requests shared a T1 or a
+        # response was paired with the wrong handshake.  The 120-node runs
+        # are the benchmark's experiment and two where a released
+        # handshake lands in the ms of a scheduled one
+        nodes_120 = replace(ex.DEFAULT_WORKLOAD, node_count=120)
+        runs = [(setting, ex.DEFAULT_WORKLOAD, seed)
+                for setting in ex.SETTING_FRACTIONS for seed in range(3)]
+        runs += [("MainlyCloud", nodes_120, 23), ("MainlyCloud", nodes_120, 28),
+                 ("CloudOnly", nodes_120, random.Random(2011).getrandbits(32))]
+        for setting, workload, seed in runs:
+            ex.run_experiment(setting, workload, seed)
+        kinds = Counter(v.kind for dev in built_devices for v in dev.verdicts)
+        assert set(kinds) == {"key-agreement"}, kinds
 
     def test_stats_internally_consistent(self):
         stats = ex.run_experiment(ex.placement("FairlyShared"), SMALL, seed=3)
@@ -259,18 +275,27 @@ def _log_serving(monkeypatch, net, log):
     monkeypatch.setattr(hosts, "answer", fake_answer)
 
 
-@pytest.fixture
-def built_hosts(monkeypatch):
-    """Every AuthorityHost built while the test runs, in order."""
+def _built(monkeypatch, cls):
+    """Every `cls` built while the test runs, in order."""
     built = []
-    real = hosts.AuthorityHost.__init__
+    real = cls.__init__
 
     def spy(self, *args, **kwargs):
         real(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(hosts.AuthorityHost, "__init__", spy)
+    monkeypatch.setattr(cls, "__init__", spy)
     return built
+
+
+@pytest.fixture
+def built_hosts(monkeypatch):
+    return _built(monkeypatch, hosts.AuthorityHost)
+
+
+@pytest.fixture
+def built_devices(monkeypatch):
+    return _built(monkeypatch, hosts.ChildHost)
 
 
 @pytest.fixture
@@ -312,11 +337,11 @@ class TestAuthorityHostQueue:
             ex.placement("CloudOnly"),
             replace(ex.DEFAULT_WORKLOAD, node_count=120), seed)
         fog, cloud = built_hosts
-        assert (stats.cloud_tasks, cloud.tasks, fog.tasks) == (12_702,
-                                                               12_702, 0)
+        assert (stats.cloud_tasks, cloud.tasks, fog.tasks) == (13_586,
+                                                               13_586, 0)
         assert Counter(v.kind for v in cloud.verdicts) == {
-            "ReplayDetected": 5_528, "StaleTimestamp": 5_422,
-            "DuplicateRegistration": 547}
+            "ReplayDetected": 5_480, "StaleTimestamp": 6_360,
+            "DuplicateRegistration": 569}
 
     def test_back_to_back_arrivals_complete_in_arrival_order(self, monkeypatch):
         net, _, fog, _ = _server_rig()
@@ -376,20 +401,30 @@ class TestAuthorityHostQueue:
 
 
 def _device_rig():
-    """One placement device (a `ChildHost` that retransmits and skips
-    the confirmation round) 5 ms from a `fog-ca` node with no handler,
-    its registration sent at t = 0, and the fleet that provisioned it."""
+    """One placement device (a `ChildHost` that retransmits) 5 ms from a
+    `fog-ca` host that answers its handshakes at delivery but knows no
+    device report, so it refuses every registration: each test delivers
+    the registration response it needs.  The device's registration is
+    sent at t = 0; the fleet that provisioned it is returned too."""
     net = Network(1)
     net.add_node("fog-ca", role="authority")
     net.add_node("thing-0000", role="child")
     net.connect_duplex("thing-0000", "fog-ca", 5)
     fleet = Fleet(curve.toy17(), random.Random(3), SimClock(net))
+    hosts.AuthorityHost("fog-ca", fleet.authority, {}).attach(net)
     dev = hosts.ChildHost("thing-0000", fleet.provision(b"thing-0000"),
                           lambda: "fog-ca", SMALL.max_retries,
-                          SMALL.retransmit_timeout_ms, confirm=False)
+                          SMALL.retransmit_timeout_ms)
     dev.attach(net)
     dev.start_registration(net, "fog-ca")
     return net, fleet, dev
+
+
+def _issue(net, fleet, at=0):
+    """Send the device its registration response from `fog-ca` at `at`."""
+    issued = fleet.authority.register_child(
+        wire.RegistrationRequest(b"thing-0000"), fleet.profiles[b"thing-0000"])
+    net.send("fog-ca", "thing-0000", wire.encode(issued), at=at)
 
 
 def _strays(params):
@@ -422,43 +457,40 @@ class TestDevice:
 
     def test_refused_response_keeps_its_transaction(self):
         # a forged response at t = 0 is refused; the genuine one at
-        # t = 1 ms still completes the registration
+        # t = 1 ms still completes the registration, and its key is
+        # confirmed 10 ms later
         net, fleet, dev = _device_rig()
         rng = random.Random(0)
         forged = wire.RegistrationResponse(seal(rng.randbytes(32), b"k", rng))
         net.send("fog-ca", "thing-0000", wire.encode(forged))
-        issued = fleet.authority.register_child(
-            wire.RegistrationRequest(b"thing-0000"),
-            fleet.profiles[b"thing-0000"])
-        net.send("fog-ca", "thing-0000", wire.encode(issued), at=1)
+        _issue(net, fleet, at=1)
         net.run()
-        [txn] = dev.transactions
-        assert txn.completed_at == 6 and txn.retries == 0
-        assert dev.state.auth_key is not None
+        registration, confirmation = dev.transactions
+        assert registration.completed_at == 6 and registration.retries == 0
+        assert confirmation.completed_at == 16
+        assert dev.registered and dev.state.auth_key is not None
 
     def test_refused_auth_response_spends_only_its_handshake(self):
+        # the key is confirmed at 15 ms; a forged response takes the
+        # handshake started at 20 ms, whose genuine response then finds
+        # no handshake waiting, and the next handshake still completes
         net, fleet, dev = _device_rig()
-        issued = fleet.authority.register_child(
-            wire.RegistrationRequest(b"thing-0000"),
-            fleet.profiles[b"thing-0000"])
-        net.send("fog-ca", "thing-0000", wire.encode(issued))
+        _issue(net, fleet)
         point = fleet.params.base_point
         forged = wire.AuthResponse(point, point, 10)
-
-        def start_and_answer(n):
-            dev.start_auth(n, "fog-ca")
-            req = wire.decode(dev.transactions[-1].payload, fleet.params)
-            resp = fleet.authority.handle_auth_request(req)
-            n.send("fog-ca", "thing-0000", wire.encode(resp, fleet.params))
-
-        net.call_at(10, lambda n: dev.start_auth(n, "fog-ca"))
+        net.call_at(20, lambda n: dev.start_auth(n, "fog-ca"))
         net.send("fog-ca", "thing-0000", wire.encode(forged, fleet.params),
-                 at=10)
-        net.call_at(20, start_and_answer)
+                 at=20)
+        net.call_at(40, lambda n: dev.start_auth(n, "fog-ca"))
         net.run()
-        _, spent, answered = dev.transactions
+        _, confirmation, spent, answered = dev.transactions
+        assert confirmation.completed_at == 15
         assert spent.completed_at is None
-        assert answered.completed_at == 25 and answered.retries == 0
+        assert answered.completed_at == 50 and answered.retries == 0
+        assert [v.kind for v in dev.verdicts] == [
+            "key-agreement", "KeyMismatch", "NoPendingChallenge",
+            "key-agreement"]
+        assert dev.registered
 
     @pytest.mark.parametrize("index", range(8))
     def test_stray_message_consumes_no_transaction(self, index):
@@ -467,47 +499,28 @@ class TestDevice:
         if not isinstance(stray, bytes):
             stray = wire.encode(stray, fleet.params)
         net.send("fog-ca", "thing-0000", stray)
-        issued = fleet.authority.register_child(
-            wire.RegistrationRequest(b"thing-0000"),
-            fleet.profiles[b"thing-0000"])
-        net.send("fog-ca", "thing-0000", wire.encode(issued), at=1)
+        _issue(net, fleet, at=1)
         net.run()
-        [txn] = dev.transactions
-        assert txn.completed_at == 6 and txn.retries == 0
+        registration, confirmation = dev.transactions
+        assert registration.completed_at == 6 and registration.retries == 0
+        assert confirmation.completed_at == 16
         assert dev.registered and dev.state.auth_key is not None
         # the stray ran on the device's own state and was refused there
-        assert len(dev.verdicts) == 1
-
-    def test_stray_auth_response_keeps_the_key(self):
-        # no confirmation round runs, so the key is not left
-        # `confirming`, and an AuthResponse that no handshake awaits is
-        # refused without dropping it
-        net, fleet, dev = _device_rig()
-        issued = fleet.authority.register_child(
-            wire.RegistrationRequest(b"thing-0000"),
-            fleet.profiles[b"thing-0000"])
-        net.send("fog-ca", "thing-0000", wire.encode(issued))
-        point = fleet.params.base_point
-        net.send("fog-ca", "thing-0000",
-                 wire.encode(wire.AuthResponse(point, point, 10),
-                             fleet.params), at=10)
-        net.run()
-        assert [v.kind for v in dev.verdicts] == ["NoPendingChallenge"]
-        assert dev.registered and dev.state.auth_key is not None
+        assert len(dev.verdicts) == 2
+        assert dev.verdicts[1].kind == "key-agreement"
 
     def test_auth_before_the_key_waits_for_it(self):
         net, fleet, dev = _device_rig()
         dev.start_auth(net, "fog-ca")
         assert len(dev.transactions) == 1 and dev.deferred_auths == 1
-        issued = fleet.authority.register_child(
-            wire.RegistrationRequest(b"thing-0000"),
-            fleet.profiles[b"thing-0000"])
-        net.send("fog-ca", "thing-0000", wire.encode(issued))
+        _issue(net, fleet)
         net.run()
-        registration, handshake = dev.transactions
+        registration, confirmation, handshake = dev.transactions
         assert registration.completed_at == 5 and registration.state is None
+        assert confirmation.first_sent == 5
         assert handshake.reply is wire.AuthResponse
         assert handshake.first_sent == 6 and dev.deferred_auths == 0
+        assert (confirmation.completed_at, handshake.completed_at) == (15, 16)
 
     def test_one_auth_request_per_ms(self):
         # the handshake that waited for the key is released at 11 ms,

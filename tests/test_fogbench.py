@@ -53,7 +53,7 @@ def test_traced_placement_run(bench_root):
     # two traced experiments; a device's handshakes share its H1(id), so
     # each experiment hashes each of its 120 identities at most once per side
     assert metrics["curve.hash_to_point.calls"]["value"] <= 2 * 240
-    assert metrics["experiments.ca_tasks"]["value"] == 2 * 12_702
+    assert metrics["experiments.ca_tasks"]["value"] == 2 * 13_586
 
 
 def test_traced_gallery_run(bench_root):
