@@ -44,7 +44,6 @@ try:
 except IntegrityMismatch as exc:
     print("registration refused:", exc)
 print("trust state:", store.get(ident).trust.value)
-print("countermeasure events:", [(e.action, e.diff) for e in store.events])
 
 # 3. quarantine sticks even for a clean retry
 try:

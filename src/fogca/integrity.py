@@ -157,15 +157,6 @@ def verify_ivv(baseline: DeviceProfile, reported: DeviceProfile) -> IvvVerdict:
     return IvvVerdict(match=False, diff=diff)
 
 
-@dataclass(frozen=True)
-class CountermeasureEvent:
-    """Security notification for broadcast to nearby nodes."""
-    device_id: bytes
-    action: str  # quarantine | reset | blacklist
-    at_ms: int
-    diff: tuple[str, ...] = ()
-
-
 def apply_countermeasure(trust: TrustState, verdict: IvvVerdict,
                          policy: str = "quarantine") -> tuple[TrustState, str | None]:
     """Trust transition for a verification verdict.
@@ -204,15 +195,11 @@ def _check_channel_key(channel_key: bytes) -> None:
 
 
 class AffinityStore:
-    """Manufacturer-provided baselines plus per-device trust state.
-
-    One logical actor per authority; collects countermeasure events for
-    the simulator to broadcast.
-    """
+    """Manufacturer-provided baselines plus per-device trust state, one
+    store per authority."""
 
     def __init__(self):
         self.records: dict[bytes, AffinityRecord] = {}
-        self.events: list[CountermeasureEvent] = []
 
     def provision(self, profile: DeviceProfile, channel_key: bytes) -> None:
         _check_channel_key(channel_key)
@@ -230,13 +217,10 @@ class AffinityStore:
         trust transition (including countermeasures on mismatch)."""
         rec = self.get(device_id)
         verdict = verify_ivv(rec.profile, reported)
-        new_trust, action = apply_countermeasure(rec.trust, verdict)
+        new_trust, _ = apply_countermeasure(rec.trust, verdict)
         if new_trust is not rec.trust:
             rec.trust = new_trust
             rec.since_ms = now_ms
-        if action is not None:
-            self.events.append(
-                CountermeasureEvent(device_id, action, now_ms, verdict.diff))
         return verdict
 
     def update_profile(self, device_id: bytes, new_profile: DeviceProfile,

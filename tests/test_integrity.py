@@ -201,15 +201,15 @@ class TestCountermeasures:
 
 
 class TestAffinityStore:
-    def test_verify_updates_trust_and_emits_event(self):
+    def test_verify_updates_trust(self):
         store = AffinityStore()
         store.provision(profile(), b"\x01" * 32)
         verdict = store.verify(b"dev", perturb_profile(profile(), "os_digest"),
                                now_ms=44)
-        assert not verdict.match
-        assert store.get(b"dev").trust is TrustState.QUARANTINED
-        assert store.events and store.events[-1].action == "quarantine"
-        assert store.events[-1].at_ms == 44
+        assert not verdict.match and verdict.diff == ("os_digest",)
+        record = store.get(b"dev")
+        assert record.trust is TrustState.QUARANTINED
+        assert record.since_ms == 44
 
     @pytest.mark.parametrize("length", [0, 16, 31, 33])
     def test_provision_refuses_a_channel_key_of_the_wrong_length(self,
