@@ -4,8 +4,8 @@ Five traffic splits, named by the keys of SETTING_FRACTIONS, route each
 transaction to a fog-hosted CA instance or to the remote cloud instance.
 Both instances are the same logical CA (shared registry, session table
 and decoded requests); each is a `hosts.AuthorityHost`, a FIFO queue
-with a deterministic service time that records every refusal as a
-verdict, and the links and the cloud's capacity share come from the
+with a deterministic service time that counts its refusals by kind,
+and the links and the cloud's capacity share come from the
 frozen calibration in LINK_PROFILES.  Each device is a
 `hosts.ChildHost` that runs the real registration and
 mutual-authentication exchanges over the simulated network,

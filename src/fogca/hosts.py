@@ -4,13 +4,15 @@ A host owns a protocol state (authority or child) and reacts to each
 delivered payload: decode, run the matching operation, send the reply.
 `answer` is the one authority dispatcher and `respond` the one child
 dispatcher; both take a decoded message, so bytes served again are
-decoded once.  Refusals never cross the wire; they are recorded as
-verdicts on the refusing side, which is what the attack scenarios
-assert on.  Whether an issued key awaits its confirmation is the
-child's own state, `ChildState.confirming`.  `ChildHost` drives every
-device, and each confirms its issued key with one handshake;
-`AuthorityHost` drives every CA instance.  Both serve the attack gallery
-and the placement study alike.
+decoded once.  Refusals never cross the wire: a child host records
+each as a verdict, in order, and an authority host counts them by kind,
+so refused traffic costs it one count per kind, not an object per
+request.  The attack scenarios assert on both.  Whether an issued key
+awaits its confirmation is the child's own state,
+`ChildState.confirming`.  `ChildHost` drives every device, and each
+confirms its issued key with one handshake; `AuthorityHost` drives every
+CA instance.  Both serve the attack gallery and the placement study
+alike.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -18,7 +20,7 @@ can route peer relays.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from . import wire
@@ -86,7 +88,8 @@ class AuthorityHost:
     the head of `waiting` has a timer, under the insertion number its
     request took on arrival, so each runs where a timer set on arrival
     would have.  `decoded` (payload -> message) may be shared by the
-    hosts of one CA: a request served again is decoded once."""
+    hosts of one CA: a request served again is decoded once.  Refusals
+    are counted by kind in `refusals`, in the order each kind first came."""
 
     def __init__(self, node_id: str, state: AuthorityState, reported_profiles,
                  service_ms: int = 0,
@@ -100,7 +103,7 @@ class AuthorityHost:
         self.busy_until = 0
         self.tasks = 0
         self.waiting: deque[tuple[int, int, str, bytes]] = deque()
-        self.verdicts: list[Verdict] = []
+        self.refusals: Counter[str] = Counter()
 
     def attach(self, net: Network) -> None:
         net.set_handler(self.node_id, self.handle)
@@ -132,7 +135,7 @@ class AuthorityHost:
             net.send(self.node_id, *answer(self.state, self.reported_profiles,
                                            src, msg))
         except FogcaError as exc:
-            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
+            self.refusals[type(exc).__name__] += 1
 
 
 @dataclass(slots=True)

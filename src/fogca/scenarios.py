@@ -135,7 +135,7 @@ def build_rig(seed: int, params: curve.CurveParams,
 
 
 def _verdicts(rig: _Rig) -> list[str]:
-    out = [v.kind for v in rig.authority_host.verdicts]
+    out = list(rig.authority_host.refusals.elements())
     for child_host in rig.children.values():
         out.extend(v.kind for v in child_host.verdicts)
     return out
@@ -250,7 +250,7 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
     observed = _verdicts(rig) + [v.kind for v in mallory.verdicts]
     return ScenarioReport(
         "impersonate", seed,
-        blocked="BadProof" in [v.kind for v in rig.authority_host.verdicts],
+        blocked="BadProof" in rig.authority_host.refusals,
         completed=rig.children[b"cam-01"].registered,
         observed=observed, transcript_jsonl=net.transcript_jsonl(),
         notes="forged auth key")

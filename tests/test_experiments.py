@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -321,7 +322,7 @@ class TestAuthorityHostQueue:
         net.run()
         assert to_ghost == [] and net.accounting["delivered"] == 1
         assert fog.tasks == 1 and state.registry == {}
-        assert [v.kind for v in fog.verdicts] == ["UnknownDevice"]
+        assert fog.refusals == {"UnknownDevice": 1}
 
     def test_service_time_at_500_tasks_per_second(self, built_hosts):
         ex.run_experiment(ex.placement("FogOnly"), SMALL, seed=1)
@@ -339,9 +340,25 @@ class TestAuthorityHostQueue:
         fog, cloud = built_hosts
         assert (stats.cloud_tasks, cloud.tasks, fog.tasks) == (13_586,
                                                                13_586, 0)
-        assert Counter(v.kind for v in cloud.verdicts) == {
+        assert cloud.refusals == {
             "ReplayDetected": 5_480, "StaleTimestamp": 6_360,
             "DuplicateRegistration": 569}
+
+    def test_saturated_cloud_traced_peak(self):
+        # the same experiment, run once so every cache is warm, then under
+        # tracemalloc.  On CPython 3.11.7 its traced peak read 3.23 MB;
+        # 4.15 MB when the cloud host kept a verdict per refusal
+        seed = random.Random(2011).getrandbits(32)
+        workload = replace(ex.DEFAULT_WORKLOAD, node_count=120)
+        ex.run_experiment(ex.placement("CloudOnly"), workload, seed)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ex.run_experiment(ex.placement("CloudOnly"), workload, seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_900_000
 
     def test_back_to_back_arrivals_complete_in_arrival_order(self, monkeypatch):
         net, _, fog, _ = _server_rig()
@@ -395,7 +412,7 @@ class TestAuthorityHostQueue:
         net.run()
         assert to_ghost == [] and net.accounting["delivered"] == 2
         assert fog.tasks == 2 and fog.decoded == {}
-        assert [v.kind for v in fog.verdicts] == ["DecodeError"] * 2
+        assert fog.refusals == {"DecodeError": 2}
         assert decode_calls == [b"\xff\x00junk"] * 2
         assert net.accounting["sent"] == 2 and state.registry == {}
 
@@ -544,7 +561,7 @@ class TestDevice:
                 for t in dev.transactions if t.reply is wire.AuthResponse]
         assert sent == [10, 11, 12]
         assert all(t.completed_at is not None for t in dev.transactions)
-        assert ca.verdicts == []
+        assert not ca.refusals
         assert [v.kind for v in dev.verdicts] == ["key-agreement"] * 3
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from fogca import curve, hosts, integrity, scenarios, wire
 from fogca.crypto import ManualClock, seal
 from fogca.integrity import TrustState, perturb_profile
-from fogca.errors import UnexpectedMessage
+from fogca.errors import UnexpectedMessage, UnknownDevice
 from fogca.simnet import (AdversaryPolicy, Drop, Duplicate, Inject, Modify,
                            Rule, SimClock)
 
@@ -290,8 +291,8 @@ class TestHostsOverNetwork:
             rig.net.run()
             assert not host.registered
             assert b"cam-01" not in custodian.state.registry
-        assert [v.kind for v in custodian.verdicts] == [
-            "IntegrityMismatch", "DeviceUntrusted"]
+        assert list(custodian.refusals.items()) == [
+            ("IntegrityMismatch", 1), ("DeviceUntrusted", 1)]
         trust = custodian.state.affinity.get(b"cam-01").trust
         assert trust is TrustState.QUARANTINED
 
@@ -301,9 +302,9 @@ class TestHostsOverNetwork:
             seal(bytes(32), b"not a request", random.Random(0)))
         rig.net.send("cam-01", "custodian", wire.encode(stray))
         rig.net.run()
-        [verdict] = rig.authority_host.verdicts
-        assert (verdict.kind, verdict.detail) == ("UnexpectedMessage",
-                                                  "RegistrationResponse")
+        assert rig.authority_host.refusals == {"UnexpectedMessage": 1}
+        with pytest.raises(UnexpectedMessage, match="^RegistrationResponse$"):
+            hosts.answer(rig.authority_host.state, {}, "cam-01", stray)
 
     @staticmethod
     def stray_messages(params):
@@ -348,9 +349,12 @@ class TestHostsOverNetwork:
         rig.net.send("cam-01", "custodian",
                      wire.encode(wire.RegistrationRequest(b"ghost")))
         rig.net.run()
-        [verdict] = rig.authority_host.verdicts
-        assert (verdict.kind, verdict.detail) == (
-            "UnknownDevice", "no device report for b'ghost'")
+        assert rig.authority_host.refusals == {"UnknownDevice": 1}
+        with pytest.raises(UnknownDevice,
+                           match=r"^no device report for b'ghost'$"):
+            hosts.answer(rig.authority_host.state,
+                         rig.authority_host.reported_profiles, "cam-01",
+                         wire.RegistrationRequest(b"ghost"))
 
 
 class TestClockSkew:
@@ -364,7 +368,7 @@ class TestClockSkew:
         host.state.clock = SimClock(rig.net, skew_ms=skew_ms)
         rig.net.call_at(start_ms, host.start_registration)
         rig.net.run()
-        return ([v.kind for v in rig.authority_host.verdicts],
+        return (list(rig.authority_host.refusals.elements()),
                 [v.kind for v in host.verdicts], host)
 
     @pytest.mark.parametrize("skew_ms", range(-5, 6))
@@ -411,3 +415,60 @@ class TestClockSkew:
         assert (authority_saw, child_saw) == ([], ["TimestampOutOfRange"])
         # the confirmation round never started: the issued key is dropped
         assert host.state.auth_key is None and not host.state.confirming
+
+
+class TestRefusalFlood:
+    """An authority host counts its refusals by kind, so what a flood of
+    refused traffic leaves behind does not grow with the flood."""
+
+    @staticmethod
+    def junk(params, rng, at):
+        return b"\xff" + rng.randbytes(15)  # no message type is 0xff
+
+    @staticmethod
+    def forged(params, rng, at):
+        def point():
+            scalar = curve.random_scalar(params, rng)
+            return curve.scalar_mul(params, scalar, params.base_point)
+        return wire.encode(wire.AuthRequest(b"cam-01", point(), point(), at),
+                           params)
+
+    @staticmethod
+    def flood(rig, make, rng, count):
+        """Send `count` payloads from the gateway, each at its own T1, 1,000
+        to a freshness window (the replay cache keeps the verified T1s of
+        one window); return the traced size once all have been served."""
+        params, start = rig.announcement.params, rig.net.now + 1
+        step = rig.authority_host.state.freshness_window_ms // 1_000
+        for at in range(start, start + count * step, step):
+            rig.net.send("gw", "custodian", make(params, rng, at), at=at)
+        rig.net.run()
+        rig.authority_host.decoded.clear()  # the memo is bounded apart
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    # in the 19-element toy group about one forged proof in 20 verifies
+    @pytest.mark.parametrize("make, refused", [
+        (junk, {"DecodeError": 3_000}),
+        (forged, {"BadProof": 2_859}),
+    ], ids=["undecodable", "forged"])
+    def test_refusal_record_stays_one_count_per_kind(self, make, refused):
+        rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
+        rig.children[b"cam-01"].start_registration(rig.net)
+        rig.net.run()
+        assert rig.children[b"cam-01"].registered
+        rng = random.Random(26)
+        tracemalloc.start()
+        try:
+            first = self.flood(rig, make, rng, 1_000)
+            second = self.flood(rig, make, rng, 2_000)
+        finally:
+            tracemalloc.stop()
+            rig.net.handlers.clear()
+        assert rig.authority_host.refusals == refused
+        # the registration and its confirmation, then the floods
+        assert rig.authority_host.tasks == 2 + 3_000
+        # what grows is bounded by the window and the curve: the replay
+        # cache and toy17's tables; an object kept per refusal would add
+        # over 100 KB
+        assert second - first < 8_192
