@@ -6,11 +6,12 @@ curve with p < 2^8, small enough to tabulate, it looks the answer up in
 a row of the point's multiples, built once per point with the affine
 law; on a domain that is exactly NIST P-256 (decided once per
 `CurveParams`), multiples of the base point come from OpenSSL;
-everything else runs a Jacobian double-and-add with 4-bit windows.  On
-such a tiny curve `point_add`, `decode_point` and the square roots of
-`hash_to_point` also compute each answer once, after the full check,
-and look it up afterwards.  Tests check all three paths against the
-affine law.
+everything else runs a Jacobian double-and-add over the scalar's signed
+4-bit digits (width-4 NAF), adding from an affine table of P, 3P, 5P
+and 7P built per call.  On such a tiny curve `point_add`,
+`decode_point` and the square roots of `hash_to_point` also compute
+each answer once, after the full check, and look it up afterwards.
+Tests check all three paths against the affine law.
 Field inverses are Python's modular inverse `pow(x, -1, p)`, and a
 square root modulo p = 3 (mod 4) is one exponentiation plus a check.
 
@@ -289,71 +290,98 @@ def count_ops():
         _mult_watchers.remove(counter)
 
 
-def _jac_double(P, p, a):
-    X1, Y1, Z1 = P
-    if not Y1:
-        return (0, 0, 0)
-    XX = X1 * X1 % p
-    YY = Y1 * Y1 % p
-    YYYY = YY * YY % p
-    ZZ = Z1 * Z1 % p
-    S = 2 * ((X1 + YY) ** 2 - XX - YYYY) % p
-    M = (3 * XX + a * ZZ % p * ZZ) % p
-    T = (M * M - 2 * S) % p
-    return (T, (M * (S - T) - 8 * YYYY) % p, ((Y1 + Z1) ** 2 - YY - ZZ) % p)
-
-
-def _jac_add(P1, P2, p, a):
-    X1, Y1, Z1 = P1
-    X2, Y2, Z2 = P2
-    if not Z1:
-        return P2
-    if not Z2:
-        return P1
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    U2 = X2 * Z1Z1 % p
-    S1 = Y1 * Z2 % p * Z2Z2 % p
-    S2 = Y2 * Z1 % p * Z1Z1 % p
-    if U1 == U2:
-        if S1 != S2:
-            return (0, 0, 0)
-        return _jac_double(P1, p, a)
-    H = (U2 - U1) % p
-    I = (2 * H) ** 2 % p
-    J = H * I % p
-    r = 2 * (S2 - S1) % p
-    V = U1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    Y3 = (r * (V - X3) - 2 * S1 % p * J) % p
-    Z3 = ((Z1 + Z2) ** 2 - Z1Z1 - Z2Z2) % p * H % p
-    return (X3, Y3, Z3)
+def _naf4(s: int) -> list[int]:
+    """The width-4 non-adjacent form of s >= 0, most significant digit
+    first: s = sum(d * 2^i), every digit 0 or odd in [-7, 7], any two
+    nonzero digits at least four places apart, and the first digit
+    positive."""
+    digits = []
+    while s:
+        if s & 1:
+            d = s & 15
+            if d > 8:
+                d -= 16
+            # s - d = 0 (mod 16): the next three digits are zeros
+            digits += (d, 0, 0, 0)
+            s = (s - d) >> 4
+        else:
+            digits.append(0)
+            s >>= 1
+    while not digits[-1]:
+        digits.pop()
+    digits.reverse()
+    return digits
 
 
 def _jacobian_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
-    """s * pt for s >= 0 by double-and-add over 4-bit windows in Jacobian
-    coordinates, with pt's table [O, P, 2P, ..., 15P] built per call."""
-    if pt.is_infinity:
+    """s * pt for any s >= 0 and any pt, O included: double-and-add in
+    Jacobian coordinates over the signed digits of `_naf4`, with pt's
+    affine table of P, 3P, 5P and 7P built per call by the affine law.
+
+    Each doubling is EFD's dbl-2001-b, whose alpha = 3X^2 + aZ^4 takes
+    the cheaper form 3(X - Z^2)(X + Z^2) when a = -3, as on P-256.  Each
+    nonzero digit is a mixed addition of a table entry (Z2 = 1), EFD's
+    madd-2007-bl; a negative digit negates the entry's y.  Where that
+    formula fails, R = Q doubles Q by the affine law and R = -Q gives O;
+    on a point of small order a table entry may itself be O."""
+    if pt.is_infinity or not s:
         return INFINITY
     p, a = params.p, params.a
-    base = (pt.x, pt.y, 1)
-    table = [(0, 0, 0), base]
-    for _ in range(14):
-        table.append(_jac_add(table[-1], base, p, a))
-    R = (0, 0, 0)
-    for shift in range((s.bit_length() - 1) // 4 * 4, -1, -4):
-        if R[2]:
-            for _ in range(4):
-                R = _jac_double(R, p, a)
-        digit = (s >> shift) & 15
-        if digit:
-            R = _jac_add(R, table[digit], p, a)
-    if not R[2]:
+    minus3 = a == p - 3
+    two = _affine_add(params, pt, pt)
+    odd = [pt]
+    for _ in range(3):
+        odd.append(_affine_add(params, odd[-1], two))
+    table = {}  # nonzero digit -> its multiple of pt; O entries left out
+    for d, q in zip((1, 3, 5, 7), odd):
+        if not q.is_infinity:
+            table[d] = q
+            table[-d] = CurvePoint(q.x, -q.y % p)
+    digits = _naf4(s)
+    top = table.get(digits[0])
+    X, Y, Z = (1, 1, 0) if top is None else (top.x, top.y, 1)  # Z = 0 is O
+    for d in digits[1:]:
+        # dbl-2001-b; Z3 = 2YZ, which is 0 when R is O or has order 2
+        delta = Z * Z % p
+        gamma = Y * Y % p
+        beta = X * gamma % p
+        if minus3:
+            alpha = 3 * (X - delta) * (X + delta) % p
+        else:
+            alpha = (3 * X * X + a * delta * delta) % p
+        Z = 2 * Y * Z % p
+        X = (alpha * alpha - 8 * beta) % p
+        Y = (alpha * (4 * beta - X) - 8 * gamma * gamma) % p
+        q = table.get(d)
+        if q is None:  # digit 0, or an O entry
+            continue
+        if not Z:
+            X, Y, Z = q.x, q.y, 1
+            continue
+        # madd-2007-bl; Z3 = (Z1 + H)^2 - Z1Z1 - HH taken as 2 Z1 H
+        ZZ = Z * Z % p
+        H = (q.x * ZZ - X) % p
+        r = 2 * (q.y * Z * ZZ - Y) % p
+        if not H:
+            if r:  # R = -Q
+                Z = 0
+            else:  # R = Q
+                twice = _affine_add(params, q, q)
+                X, Y, Z = (1, 1, 0) if twice.is_infinity else \
+                    (twice.x, twice.y, 1)
+            continue
+        HH = H * H % p
+        I = 4 * HH
+        J = H * I % p
+        V = X * I % p
+        Z = 2 * Z * H % p
+        X = (r * r - J - 2 * V) % p
+        Y = (r * (V - X) - 2 * Y * J) % p
+    if not Z:
         return INFINITY
-    zi = pow(R[2], -1, p)
+    zi = pow(Z, -1, p)
     zi2 = zi * zi % p
-    return CurvePoint(R[0] * zi2 % p, R[1] * zi2 % p * zi % p)
+    return CurvePoint(X * zi2 % p, Y * zi2 % p * zi % p)
 
 
 def _multiples(params: CurveParams, pt: CurvePoint) -> list[CurvePoint]:
@@ -400,7 +428,8 @@ def scalar_mul(params: CurveParams, s: int, pt: CurvePoint) -> CurvePoint:
     of multiples, built and on-curve checked on pt's first use; a P-256
     domain's base-point multiples come from OpenSSL; everything else is
     `_jacobian_mul`.  All but OpenSSL is pure Python and not
-    constant-time."""
+    constant-time; `_jacobian_mul`'s signed recoding of s is
+    data-dependent too."""
     if params.p < _TABLE_MAX_P:
         rows = _tiny(params).rows
         row = rows.get(pt)

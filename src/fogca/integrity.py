@@ -158,26 +158,26 @@ def verify_ivv(baseline: DeviceProfile, reported: DeviceProfile) -> IvvVerdict:
 
 
 def apply_countermeasure(trust: TrustState, verdict: IvvVerdict,
-                         policy: str = "quarantine") -> tuple[TrustState, str | None]:
-    """Trust transition for a verification verdict.
+                         policy: str = "quarantine") -> TrustState:
+    """The trust state that follows a verification verdict.
 
     Mismatch quarantines (default) or schedules a reset; a mismatch
-    after a reset blacklists.  Returns (new_state, action or None).
+    after a reset blacklists.
     """
     if policy not in ("quarantine", "reset"):
         raise ValueError(f"unknown countermeasure policy {policy!r}")
     if trust is TrustState.BLACKLISTED:
-        return TrustState.BLACKLISTED, None
+        return TrustState.BLACKLISTED
     if verdict.match:
         if trust in (TrustState.UNTRUSTED, TrustState.TRUSTED,
                      TrustState.RESET_PENDING):
-            return TrustState.TRUSTED, None
-        return trust, None  # quarantine is sticky until operator action
+            return TrustState.TRUSTED
+        return trust  # quarantine is sticky until operator action
     if trust is TrustState.RESET_PENDING:
-        return TrustState.BLACKLISTED, "blacklist"
+        return TrustState.BLACKLISTED
     if policy == "reset":
-        return TrustState.RESET_PENDING, "reset"
-    return TrustState.QUARANTINED, "quarantine"
+        return TrustState.RESET_PENDING
+    return TrustState.QUARANTINED
 
 
 @dataclass
@@ -217,7 +217,7 @@ class AffinityStore:
         trust transition (including countermeasures on mismatch)."""
         rec = self.get(device_id)
         verdict = verify_ivv(rec.profile, reported)
-        new_trust, _ = apply_countermeasure(rec.trust, verdict)
+        new_trust = apply_countermeasure(rec.trust, verdict)
         if new_trust is not rec.trust:
             rec.trust = new_trust
             rec.since_ms = now_ms

@@ -384,7 +384,11 @@ def textbook_add(params, p1, p2):
 TINY_DOMAINS = [
     dict(p=17, a=2, b=2, gx=5, gy=1, n=19),
     # E_11(1,1), cofactor 2: half its points lie outside the subgroup
-    dict(p=11, a=1, b=1, gx=0, gy=1, n=7, cofactor=2)]
+    dict(p=11, a=1, b=1, gx=0, gy=1, n=7, cofactor=2),
+    # E_59(-3,24), cyclic of order 66, cofactor 6: a = p - 3 as on P-256,
+    # so `_jacobian_mul` takes the a = -3 doubling; points of order 2 and
+    # 3 give it O entries in its table of P, 3P, 5P, 7P
+    dict(p=59, a=-3, b=24, gx=2, gy=12, n=11, cofactor=6)]
 
 
 class TestTinyCurveTables:
@@ -521,6 +525,11 @@ class TestJacobianMul:
             # (2, 0) has order 2: doubling it gives O
             assert [pt for pt in points if pt.y == 0] == \
                 [curve.CurvePoint(2, 0)]
+        if params.cofactor == 6:
+            # the a = -3 doubling, and table entries 3P = O
+            assert params.a == params.p - 3
+            assert sum(repeated_addition(params, 3, pt).is_infinity
+                       for pt in points) == 3
         for pt in points:
             acc = curve.INFINITY
             for s in range(2 * len(points) + 2):
@@ -544,10 +553,34 @@ class TestJacobianMul:
                     assert curve.scalar_mul(prod, s, pt) == expected, s
                     assert curve.scalar_mul(prod, s * k, G) == expected, s
 
+    @given(s=st.integers(0, 2 * P256_N - 1), k=st.integers(2, P256_N - 1),
+           odd_y=st.booleans())
+    # n - 2 = (n - 1) - 1 with n - 1 = 0 (mod 16): the last digit, -1,
+    # adds -P to R = (n - 1)P = -P, the mixed addition's R = Q branch
+    @example(s=P256_N - 2, k=2, odd_y=False)
+    @example(s=P256_N - 2, k=3, odd_y=True)
+    # n = (n - 1) + 1: the last digit adds P to R = -P, the R = -Q branch
+    @example(s=P256_N, k=2, odd_y=True)
+    @example(s=P256_N, k=3, odd_y=False)
+    # 16(n - 2) + 1: the R = Q branch four digits from the end, and the
+    # doubled R feeds four more doublings and the addition of P
+    @example(s=16 * (P256_N - 2) + 1, k=5, odd_y=False)
+    # 16n + 3: the R = -Q branch four digits from the end, so R is O when
+    # the last digit adds 3P
+    @example(s=16 * P256_N + 3, k=5, odd_y=True)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_affine_oracle_on_each_y_parity(self, prod, s, k, odd_y):
+        pt = curve.scalar_mul(prod, k, prod.base_point)
+        if pt.y % 2 != odd_y:
+            pt = curve.point_neg(prod, pt)
+        assert curve._jacobian_mul(prod, s, pt) == affine_mul(prod, s, pt)
+
 
 def scalars_of_width(windows, rng, n):
-    """Scalars that span exactly `windows` 4-bit windows: both ends of
-    the range, the multiples of n nearest them, and 32 drawn at random."""
+    """Scalars of 4 * `windows` - 3 to 4 * `windows` bits (from 0 for
+    the first width), whose signed digits (`curve._naf4`) number one more
+    where the recoding carries: both ends of the range, the multiples of
+    n nearest them, and 32 drawn at random."""
     lo, hi = (0 if windows == 1 else 16 ** (windows - 1)), 16 ** windows
     first_multiple = -(-lo // n) * n
     last_multiple = (hi - 1) // n * n
@@ -557,9 +590,10 @@ def scalars_of_width(windows, rng, n):
 
 
 class TestWindowWidth:
-    """`_jacobian_mul` on scalars 1 to 4 of its 4-bit windows wide, so
-    that partial sums of O and of -P meet the doublings between
-    windows."""
+    """`_jacobian_mul` on scalars of up to 4, 8, 12 and 16 bits, whose
+    signed digits carry into one digit more at the top of each range, so
+    that partial sums of O and of -P meet the doublings between nonzero
+    digits."""
 
     @pytest.mark.parametrize("windows", [1, 2, 3, 4])
     def test_every_width_matches_affine_oracle_on_toy(self, toy, windows):

@@ -151,46 +151,46 @@ class TestStoredIvv:
 class TestCountermeasures:
     def test_mismatch_quarantines_by_default(self):
         bad = integrity.IvvVerdict(False, ("os_digest",))
-        assert apply_countermeasure(TrustState.TRUSTED, bad) == \
-            (TrustState.QUARANTINED, "quarantine")
+        assert apply_countermeasure(TrustState.TRUSTED, bad) is \
+            TrustState.QUARANTINED
 
     def test_reset_policy(self):
         bad = integrity.IvvVerdict(False, ())
-        assert apply_countermeasure(TrustState.TRUSTED, bad, "reset") == \
-            (TrustState.RESET_PENDING, "reset")
+        assert apply_countermeasure(TrustState.TRUSTED, bad, "reset") is \
+            TrustState.RESET_PENDING
 
     def test_second_mismatch_after_reset_blacklists(self):
         bad = integrity.IvvVerdict(False, ())
         for policy in ("quarantine", "reset"):
             assert apply_countermeasure(TrustState.RESET_PENDING, bad,
-                                        policy) == \
-                (TrustState.BLACKLISTED, "blacklist")
+                                        policy) is \
+                TrustState.BLACKLISTED
 
     def test_match_keeps_or_grants_trust(self):
         good = integrity.IvvVerdict(True)
-        assert apply_countermeasure(TrustState.TRUSTED, good) == \
-            (TrustState.TRUSTED, None)
-        assert apply_countermeasure(TrustState.UNTRUSTED, good) == \
-            (TrustState.TRUSTED, None)
-        assert apply_countermeasure(TrustState.RESET_PENDING, good) == \
-            (TrustState.TRUSTED, None)
+        assert apply_countermeasure(TrustState.TRUSTED, good) is \
+            TrustState.TRUSTED
+        assert apply_countermeasure(TrustState.UNTRUSTED, good) is \
+            TrustState.TRUSTED
+        assert apply_countermeasure(TrustState.RESET_PENDING, good) is \
+            TrustState.TRUSTED
 
     def test_quarantine_is_sticky(self):
         good = integrity.IvvVerdict(True)
-        assert apply_countermeasure(TrustState.QUARANTINED, good) == \
-            (TrustState.QUARANTINED, None)
+        assert apply_countermeasure(TrustState.QUARANTINED, good) is \
+            TrustState.QUARANTINED
 
     def test_blacklist_is_terminal(self):
         for verdict in (integrity.IvvVerdict(True), integrity.IvvVerdict(False)):
-            assert apply_countermeasure(TrustState.BLACKLISTED, verdict) == \
-                (TrustState.BLACKLISTED, None)
+            assert apply_countermeasure(TrustState.BLACKLISTED, verdict) is \
+                TrustState.BLACKLISTED
 
     def test_full_transition_enumeration(self):
         # every (state, verdict, policy) lands in a defined state
         for state in TrustState:
             for match in (True, False):
                 for policy in ("quarantine", "reset"):
-                    new, _ = apply_countermeasure(
+                    new = apply_countermeasure(
                         state, integrity.IvvVerdict(match), policy)
                     assert isinstance(new, TrustState)
 
