@@ -212,7 +212,7 @@ class AuthorityState:
         key_check = curve.scalar_mul(params, k_scalar + server_point.x,
                                      params.base_point)
         self.sessions[req.child_id] = (k_scalar, key)
-        return AuthResponse(blinded, key_check, t2_ms)
+        return AuthResponse(blinded, key_check, t2_ms, req.sent_at)
 
     def _remember_request(self, cache_key: tuple[bytes, int],
                           now_ms: int) -> None:

@@ -16,9 +16,9 @@ its completed transactions.
 
 Transactions overlap freely: a device may have several handshakes in
 flight, each on its own handshake state and matched to its response by
-per-(device, server) FIFO order, which links without jitter or loss
-guarantee.  A device confirms its issued key with one handshake, as the
-gallery and `Fleet.register` do: that round counts as a handshake, and a
+the T1 that the response echoes, so links may jitter and drop.  A device
+confirms its issued key with one handshake, as the gallery and
+`Fleet.register` do: that round counts as a handshake, and a
 registration's delay ends when its key is installed.
 
 The protocol math runs on the toy curve by default: placement delays

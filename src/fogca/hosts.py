@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from . import wire
 from .authority import AuthorityState
 from .child import ChildState
-from .errors import FogcaError, UnexpectedMessage, UnknownDevice
+from .errors import (FogcaError, NoPendingChallenge, UnexpectedMessage,
+                     UnknownDevice)
 from .simnet import Network, SimEvent
 
 
@@ -143,7 +144,6 @@ class Transaction:
     """A registration or handshake that a ChildHost sent; `state`, the
     state that its reply runs on, is dropped once a reply completes it."""
     reply: type            # RegistrationResponse | AuthResponse
-    dest: str              # the server it was first sent to
     payload: bytes         # what a retry sends again
     state: ChildState | None
     first_sent: int
@@ -153,18 +153,18 @@ class Transaction:
 
 class ChildHost:
     """Drives any device.  Each registration or handshake sent is a
-    Transaction, matched to its response in send order per (server,
-    response type) and sent again, to a server `pick_server` picks
-    afresh, every `retransmit_timeout_ms` while retries remain.  A
-    refused response spends a handshake but leaves a registration
-    waiting; a message that no transaction awaits runs on the device's
-    own state; refusals are verdicts.  A handshake on the device's own
-    state confirms an installed key, which the first action or delivery
-    after the freshness window drops if that round is still open.
-    Other handshakes run on states of their own, so that several can be
-    in flight; one started without a key waits for it, and one started
-    in the ms of the last AuthRequest, whose T1 it would repeat, runs
-    1 ms later."""
+    Transaction, sent again, to a server `pick_server` picks afresh,
+    every `retransmit_timeout_ms` while retries remain.  An open
+    handshake waits under its T1, which its AuthResponse echoes; a
+    response that echoes no open T1 is refused and touches no state.
+    A refused response spends its handshake but leaves the registration
+    waiting; any other message runs on the device's own state.  A
+    handshake on the device's own state confirms an installed key,
+    which the first action or delivery after the freshness window drops
+    if that round is still open.  Other handshakes run on states of
+    their own, so that several can be in flight; one started without a
+    key waits for it, and one started in the ms of the last AuthRequest,
+    whose T1 it would repeat, runs 1 ms later."""
 
     def __init__(self, node_id: str, state: ChildState, pick_server,
                  max_retries: int = 0, retransmit_timeout_ms: int = 0):
@@ -174,8 +174,8 @@ class ChildHost:
         self.max_retries = max_retries
         self.retransmit_timeout_ms = retransmit_timeout_ms
         self.transactions: list[Transaction] = []
-        # per (server, awaited response type), in send order
-        self.outstanding: dict[tuple[str, type], deque[Transaction]] = {}
+        self.handshakes: dict[int, Transaction] = {}  # open, by T1
+        self.registering: Transaction | None = None  # the open registration
         self.deferred_auths = 0
         self.confirm_by: int | None = None  # the confirmation round's end
         self.auth_sent_at: int | None = None  # the ms of the last AuthRequest
@@ -194,8 +194,7 @@ class ChildHost:
 
     def start_registration(self, net: Network, server: str | None = None) -> None:
         self._settle(net)
-        self._send(net, wire.RegistrationResponse, server,
-                   wire.encode(self.state.request_registration()), self.state)
+        self._send(net, server, self.state.request_registration(), self.state)
 
     def start_auth(self, net: Network, server: str | None = None) -> None:
         self._settle(net)
@@ -207,9 +206,7 @@ class ChildHost:
             return
         handshake = self.state.handshake()
         try:
-            self._send(net, wire.AuthResponse, server,
-                       wire.encode(handshake.auth_init(), self.state.params),
-                       handshake)
+            self._send(net, server, handshake.auth_init(), handshake)
         except FogcaError as exc:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
@@ -221,15 +218,19 @@ class ChildHost:
         except FogcaError as exc:
             self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
 
-    def _send(self, net: Network, reply: type, server: str | None,
-              payload: bytes, state: ChildState) -> None:
-        txn = Transaction(reply, server or self.pick_server(), payload, state,
-                          net.now)
-        self.transactions.append(txn)
-        self.outstanding.setdefault((txn.dest, reply), deque()).append(txn)
-        if reply is wire.AuthResponse:
+    def _send(self, net: Network, server: str | None,
+              request: wire.RegistrationRequest | wire.AuthRequest,
+              state: ChildState) -> None:
+        payload = wire.encode(request, self.state.params)
+        if isinstance(request, wire.AuthRequest):
+            txn = self.handshakes[request.sent_at] = Transaction(
+                wire.AuthResponse, payload, state, net.now)
             self.auth_sent_at = net.now
-        net.send(self.node_id, txn.dest, payload)
+        else:
+            txn = self.registering = Transaction(
+                wire.RegistrationResponse, payload, state, net.now)
+        self.transactions.append(txn)
+        net.send(self.node_id, server or self.pick_server(), payload)
         self._arm_timeout(net, txn)
 
     def _arm_timeout(self, net: Network, txn: Transaction) -> None:
@@ -242,11 +243,7 @@ class ChildHost:
             return
         txn.retries += 1
         # the shared registry and replay cache let either server answer
-        server = self.pick_server()
-        if server != txn.dest:
-            self.outstanding.setdefault((server, txn.reply),
-                                        deque()).append(txn)
-        net.send(self.node_id, server, txn.payload)
+        net.send(self.node_id, self.pick_server(), txn.payload)
         self._arm_timeout(net, txn)
 
     def _settle(self, net: Network) -> None:
@@ -261,13 +258,15 @@ class ChildHost:
         self._settle(net)
         try:
             msg = wire.decode(event.payload, self.state.params)
-            # the oldest unanswered transaction awaiting this, if any
-            queue = self.outstanding.get((event.src, type(msg)))
-            while queue and queue[0].completed_at is not None:
-                queue.popleft()
-            txn = queue[0] if queue else None
-            if txn is not None and txn.reply is wire.AuthResponse:
-                queue.popleft()  # a handshake state answers once
+            txn = None
+            if isinstance(msg, wire.AuthResponse):
+                # a handshake state answers once
+                txn = self.handshakes.pop(msg.request_sent_at, None)
+                if txn is None:
+                    raise NoPendingChallenge(
+                        f"no handshake sent at T1={msg.request_sent_at}")
+            elif isinstance(msg, wire.RegistrationResponse):
+                txn = self.registering
             state = self.state if txn is None else txn.state
             reply = respond(state, event.src, msg)
             if txn is not None:
@@ -275,6 +274,7 @@ class ChildHost:
             if reply is not None:
                 net.send(self.node_id, *reply)
             elif isinstance(msg, wire.RegistrationResponse):
+                self.registering = None
                 self._key_installed(net)
             elif isinstance(msg, wire.AuthResponse):
                 self.state.ca_session = state.ca_session
@@ -289,12 +289,11 @@ class ChildHost:
         """Confirm the key, then send the handshakes that waited for it,
         1 ms apart (distinct timestamps)."""
         try:
-            payload = wire.encode(self.state.auth_init(), self.state.params)
+            self._send(net, None, self.state.auth_init(), self.state)
         except FogcaError:
             self.state.handshake_failed()  # as confirm_auth_key does
             raise
         self.confirm_by = net.now + self.state.freshness_window_ms
-        self._send(net, wire.AuthResponse, None, payload, self.state)
         held, self.deferred_auths = self.deferred_auths, 0
         for k in range(held):
             server = self.pick_server()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import authority, curve, wire
@@ -264,10 +264,8 @@ def run_tamper(seed: int, params: curve.CurveParams | None = None) -> ScenarioRe
     def rewrite(payload: bytes, decoded) -> bytes:
         if not isinstance(decoded, wire.AuthResponse):
             return payload
-        forged = wire.AuthResponse(
-            decoded.blinded,
-            curve.point_add(params, decoded.key_check, params.base_point),
-            decoded.sent_at)
+        forged = replace(decoded, key_check=curve.point_add(
+            params, decoded.key_check, params.base_point))
         return wire.encode(forged, params)
 
     rig = build_rig(seed, params, [b"cam-01"])

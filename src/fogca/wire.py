@@ -61,10 +61,12 @@ class AuthRequest:
 
 @dataclass(frozen=True)
 class AuthResponse:
-    """Server half: masked server point plus key-confirmation point."""
+    """Server half: masked server point plus key-confirmation point, and
+    the T1 of the request it answers."""
     blinded: curve.CurvePoint
     key_check: curve.CurvePoint
     sent_at: int
+    request_sent_at: int
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def _done(data: bytes, pos: int, msg: ProtocolMessage) -> ProtocolMessage:
 
 def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> bytes:
     """Serialize a protocol message; point-bearing variants need params.
-    A `sent_at` outside 0..2^64-1 raises TimestampOutOfRange."""
+    A timestamp outside 0..2^64-1 raises TimestampOutOfRange."""
     if isinstance(msg, Announcement):
         cp = msg.params
         return b"".join([
@@ -213,7 +215,8 @@ def encode(msg: ProtocolMessage, params: curve.CurveParams | None = None) -> byt
             raise ValueError("curve params required to encode AuthResponse")
         return (bytes([TAG_AUTH_RESPONSE]) + _enc_point(params, msg.blinded)
                 + _enc_point(params, msg.key_check)
-                + timestamp_bytes(msg.sent_at))
+                + timestamp_bytes(msg.sent_at)
+                + timestamp_bytes(msg.request_sent_at))
     if isinstance(msg, PeerInit):
         return (bytes([TAG_PEER_INIT]) + _enc_box(msg.peer_box)
                 + _enc_box(msg.key_box))
@@ -283,7 +286,9 @@ def _decode(data: bytes, params: curve.CurveParams | None) -> ProtocolMessage:
         blinded, pos = _dec_point(params, data, 1)
         key_check, pos = _dec_point(params, data, pos)
         sent_at, pos = _dec_u64(data, pos)
-        return _done(data, pos, AuthResponse(blinded, key_check, sent_at))
+        request_sent_at, pos = _dec_u64(data, pos)
+        return _done(data, pos, AuthResponse(blinded, key_check, sent_at,
+                                             request_sent_at))
     two_boxes = _TWO_BOX_MESSAGES.get(tag)
     if two_boxes is not None:
         first, pos = _dec_box(data, 1)

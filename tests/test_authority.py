@@ -138,7 +138,7 @@ PROD_AUTH_RESPONSE = (
     "62f0ac7110b58f5e9213e23952ecc2107f98e94fa96a8bc764a2af5a81f673a5c741"
     "0436235735b875c4741a2e63949aeea6bdacd591ba853bf24cc9fb03208912d48768"
     "acb5177954e01c6c47e5c43e873d7060c7a24b6a84c5d92aea97f1c37e7a48000000"
-    "000000000f")
+    "000000000f000000000000000f")
 PROD_CONFIRM_KEY = "3f8697646acaf101e59eac7c55260eaa25983625aca5d6d0e6e663a7579b1213"
 PROD_SESSION_KEY = "175c800cdd41fb902da7212f8fff324da0421e2eaac76e0ee02046f2cb326b02"
 

@@ -117,7 +117,7 @@ class TestAuthInitiator:
     def test_finish_without_init(self, toy_rig):
         child = toy_rig.register(b"cam-01")
         resp = wire.AuthResponse(toy_rig.params.base_point,
-                                 toy_rig.params.base_point, 0)
+                                 toy_rig.params.base_point, 0, 0)
         with pytest.raises(NoPendingChallenge):
             child.auth_finish(resp)
 
@@ -137,7 +137,7 @@ class TestAuthInitiator:
             resp.blinded,
             curve.point_add(toy_rig.params, resp.key_check,
                             toy_rig.params.base_point),
-            resp.sent_at)
+            resp.sent_at, resp.request_sent_at)
         with pytest.raises(KeyMismatch):
             child.auth_finish(forged)
 
@@ -148,7 +148,7 @@ class TestAuthInitiator:
         forged = wire.AuthResponse(
             curve.point_add(toy_rig.params, resp.blinded,
                             toy_rig.params.base_point),
-            resp.key_check, resp.sent_at)
+            resp.key_check, resp.sent_at, resp.request_sent_at)
         with pytest.raises(KeyMismatch):
             child.auth_finish(forged)
 

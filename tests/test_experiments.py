@@ -15,7 +15,7 @@ from fogca import experiments as ex
 from fogca.crypto import seal
 from fogca.errors import UnknownDevice, UnknownProfile
 from fogca.scenarios import Fleet
-from fogca.simnet import Network, SimClock
+from fogca.simnet import AdversaryPolicy, Drop, Network, Rule, SimClock
 
 # small, fast workload for functional tests; the frozen default drives
 # the acceptance suite
@@ -205,6 +205,39 @@ class TestRunExperiment:
                  ("CloudOnly", nodes_120, random.Random(2011).getrandbits(32))]
         for setting, workload, seed in runs:
             ex.run_experiment(setting, workload, seed)
+        kinds = Counter(v.kind for dev in built_devices for v in dev.verdicts)
+        assert set(kinds) == {"key-agreement"}, kinds
+
+    @pytest.mark.parametrize("window_ms", [2_000, 5_000])
+    @pytest.mark.parametrize("nodes", [40, 120])
+    @pytest.mark.parametrize("setting", list(ex.SETTING_FRACTIONS))
+    def test_honest_runs_refuse_nothing_at_short_windows(
+            self, built_devices, setting, nodes, window_ms):
+        # a request served stale gets no response, and one retransmitted
+        # to the other server may be answered there: neither may pair a
+        # response with another handshake
+        workload = replace(ex.DEFAULT_WORKLOAD, node_count=nodes,
+                           freshness_window_ms=window_ms)
+        ex.run_experiment(setting, workload, seed=0)
+        kinds = Counter(v.kind for dev in built_devices for v in dev.verdicts)
+        assert set(kinds) == {"key-agreement"}, kinds
+
+    @pytest.mark.parametrize("setting", list(ex.SETTING_FRACTIONS))
+    def test_links_that_jitter_and_drop_refuse_nothing(
+            self, monkeypatch, built_devices, setting):
+        # responses overtake each other and some are lost; a lost
+        # transaction may stay incomplete, but no response is mispaired
+        real = ex._build_network
+
+        def lossy(profile, node_ids, seed):
+            net = real(profile, node_ids, seed)
+            for node_id in node_ids:
+                net.connect_duplex(node_id, "gw", profile.thing_fog_ms,
+                                   jitter_ms=3, drop_probability=0.01)
+            return net
+
+        monkeypatch.setattr(ex, "_build_network", lossy)
+        ex.run_experiment(setting, ex.DEFAULT_WORKLOAD, seed=0)
         kinds = Counter(v.kind for dev in built_devices for v in dev.verdicts)
         assert set(kinds) == {"key-agreement"}, kinds
 
@@ -444,6 +477,15 @@ def _issue(net, fleet, at=0):
     net.send("fog-ca", "thing-0000", wire.encode(issued), at=at)
 
 
+def _forge_auth_response(net, fleet, request_sent_at, at):
+    """Send the device, from `fog-ca` at `at`, an AuthResponse that
+    echoes `request_sent_at` and whose key-confirmation point cannot
+    verify."""
+    point = fleet.params.base_point
+    forged = wire.AuthResponse(point, point, at, request_sent_at)
+    net.send("fog-ca", "thing-0000", wire.encode(forged, fleet.params), at=at)
+
+
 def _strays(params):
     """Payloads that answer no registration: malformed bytes and each
     decodable message other than a RegistrationResponse."""
@@ -452,7 +494,7 @@ def _strays(params):
     point = params.base_point
     return [b"\xff", wire.RegistrationRequest(b"thing-0000"),
             wire.AuthRequest(b"thing-0000", point, point, 1),
-            wire.AuthResponse(point, point, 1),
+            wire.AuthResponse(point, point, 1, 1),
             wire.PeerInit(box(b"x"), box(b"k" * 32)),
             wire.PeerRelay(box(b"x"), box(b"k" * 32)),
             wire.PeerChallenge(box(b"x"), box(b"n" * 16)),
@@ -488,25 +530,35 @@ class TestDevice:
         assert dev.registered and dev.state.auth_key is not None
 
     def test_refused_auth_response_spends_only_its_handshake(self):
-        # the key is confirmed at 15 ms; a forged response takes the
-        # handshake started at 20 ms, whose genuine response then finds
-        # no handshake waiting, and the next handshake still completes
+        # the key is confirmed at 15 ms.  A forged response that echoes no
+        # open T1 (delivered at 25 ms) spends nothing: the handshake sent
+        # at 20 ms completes at 30.  One that echoes T1 = 40 spends that
+        # handshake, whose genuine response then finds none open, and the
+        # handshake sent at 60 ms still completes
         net, fleet, dev = _device_rig()
         _issue(net, fleet)
-        point = fleet.params.base_point
-        forged = wire.AuthResponse(point, point, 10)
-        net.call_at(20, lambda n: dev.start_auth(n, "fog-ca"))
-        net.send("fog-ca", "thing-0000", wire.encode(forged, fleet.params),
-                 at=20)
-        net.call_at(40, lambda n: dev.start_auth(n, "fog-ca"))
+        for at in (20, 40, 60):
+            net.call_at(at, lambda n: dev.start_auth(n, "fog-ca"))
+        _forge_auth_response(net, fleet, request_sent_at=3, at=20)
+        _forge_auth_response(net, fleet, request_sent_at=40, at=40)
         net.run()
-        _, confirmation, spent, answered = dev.transactions
-        assert confirmation.completed_at == 15
+        _, confirmation, kept, spent, answered = dev.transactions
+        assert confirmation.completed_at == 15 and kept.completed_at == 30
         assert spent.completed_at is None
-        assert answered.completed_at == 50 and answered.retries == 0
+        assert answered.completed_at == 70 and answered.retries == 0
         assert [v.kind for v in dev.verdicts] == [
-            "key-agreement", "KeyMismatch", "NoPendingChallenge",
-            "key-agreement"]
+            "key-agreement", "NoPendingChallenge", "key-agreement",
+            "KeyMismatch", "NoPendingChallenge", "key-agreement"]
+        assert dev.registered
+
+        # delivered at 11 ms, during the confirmation round: the round
+        # still completes and the device keeps its key
+        net, fleet, dev = _device_rig()
+        _issue(net, fleet)
+        _forge_auth_response(net, fleet, request_sent_at=3, at=6)
+        net.run()
+        assert [v.kind for v in dev.verdicts] == [
+            "NoPendingChallenge", "key-agreement"]
         assert dev.registered
 
     @pytest.mark.parametrize("index", range(8))
@@ -563,6 +615,29 @@ class TestDevice:
         assert all(t.completed_at is not None for t in dev.transactions)
         assert not ca.refusals
         assert [v.kind for v in dev.verdicts] == ["key-agreement"] * 3
+
+    def test_lost_response_spends_only_its_handshake(self):
+        # two handshakes are in flight and the first one's response is
+        # lost: the second is still paired with its own response
+        net = Network(1)
+        net.add_node("ca", role="authority")
+        net.add_node("thing", role="child")
+        net.connect_duplex("thing", "ca", 5)
+        fleet = Fleet(curve.toy17(), random.Random(3), SimClock(net))
+        hosts.AuthorityHost("ca", fleet.authority, fleet.profiles).attach(net)
+        dev = hosts.ChildHost("thing", fleet.register(b"thing"), lambda: "ca")
+        dev.attach(net)
+        drop_first = Rule(lambda event, msg: isinstance(msg, wire.AuthResponse),
+                          Drop())
+        net.attach_adversary(("ca", "thing"),
+                             AdversaryPolicy({"drop"}, [drop_first]),
+                             fleet.params)
+        net.call_at(1, dev.start_auth)  # T1 = 0 was the in-process round
+        net.call_at(2, dev.start_auth)
+        net.run()
+        lost, answered = dev.transactions
+        assert lost.completed_at is None and answered.completed_at == 12
+        assert [v.kind for v in dev.verdicts] == ["key-agreement"]
 
 
 class TestSweep:

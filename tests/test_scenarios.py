@@ -58,9 +58,10 @@ class TestPassive:
 
 class TestGalleryPinned:
     def test_toy17_reports_and_transcripts_pinned(self):
-        # recorded before the event loop forwarded plain hops itself and
-        # toy17 sums and decodings were looked up: any change to event
-        # order, seeded bytes or transcript order moves it
+        # recorded once AuthResponse echoed its request's T1 (the 8 bytes
+        # that each such transcript payload gained are the only change):
+        # any change to event order, seeded bytes or transcript order
+        # moves it
         digest = hashlib.sha256()
         for seed in range(50):
             for name in scenarios.SCENARIOS:
@@ -69,7 +70,7 @@ class TestGalleryPinned:
                     digest.update(repr(report).encode())
                     digest.update(report.transcript_jsonl.encode())
         assert digest.hexdigest() == (
-            "44a35d67fdb4ebe2cd91e2d12662edb44e3540113cc6d779f6cb21e23b5e1645")
+            "eea80975626f9d50846fd9f8b8721cff52a3b99c68394c8062a4e173a834bb83")
 
 
 class TestDeviceProfile:

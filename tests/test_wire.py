@@ -21,12 +21,19 @@ def sample_messages(params):
         wire.RegistrationRequest(b"cam-01"),
         wire.RegistrationResponse(box(b"sealed-auth-key")),
         wire.AuthRequest(b"cam-01", point, other, 123456),
-        wire.AuthResponse(point, other, 999),
+        wire.AuthResponse(point, other, 999, 123456),
         wire.PeerInit(box(b"peer"), box(b"k" * 32)),
         wire.PeerRelay(box(b"cam-01"), box(b"k" * 32)),
         wire.PeerChallenge(box(b"lock-02"), box(b"n" * 16)),
         wire.PeerProof(box(b"n" * 16)),
     ]
+
+
+def timestamp_fields(params):
+    """(message, field name) for each timestamp that the wire carries."""
+    request, response = sample_messages(params)[3:5]
+    return [(request, "sent_at"), (response, "sent_at"),
+            (response, "request_sent_at")]
 
 
 BOX_MESSAGES = (wire.RegistrationResponse, wire.PeerInit, wire.PeerRelay,
@@ -59,7 +66,7 @@ class TestRoundTrip:
         assert blob.endswith(bytes([len(raw)]) + raw)
 
     def test_infinity_point_encodes(self, toy):
-        msg = wire.AuthResponse(curve.INFINITY, toy.base_point, 1)
+        msg = wire.AuthResponse(curve.INFINITY, toy.base_point, 1, 0)
         assert wire.decode(wire.encode(msg, toy), toy) == msg
 
 
@@ -73,10 +80,11 @@ class TestErrors:
             wire.decode(b"")
 
     def test_truncated_auth_request(self, toy):
-        blob = wire.encode(sample_messages(toy)[3], toy)
-        for cut in (1, len(blob) // 2, len(blob) - 1):
-            with pytest.raises(DecodeError):
-                wire.decode(blob[:cut], toy)
+        for msg in sample_messages(toy)[3:5]:  # AuthRequest, AuthResponse
+            blob = wire.encode(msg, toy)
+            for cut in (1, len(blob) // 2, len(blob) - 8, len(blob) - 1):
+                with pytest.raises(DecodeError):
+                    wire.decode(blob[:cut], toy)
 
     def test_trailing_bytes_rejected(self, toy):
         blob = wire.encode(wire.RegistrationRequest(b"cam-01"))
@@ -90,13 +98,13 @@ class TestErrors:
 
     @pytest.mark.parametrize("sent_at", [-1, 2**64])
     def test_timestamp_outside_u64_refused(self, toy, sent_at):
-        for msg in sample_messages(toy)[3:5]:  # AuthRequest, AuthResponse
+        for msg, name in timestamp_fields(toy):
             with pytest.raises(TimestampOutOfRange):
-                wire.encode(dataclasses.replace(msg, sent_at=sent_at), toy)
+                wire.encode(dataclasses.replace(msg, **{name: sent_at}), toy)
 
     def test_largest_timestamp_roundtrips(self, toy):
-        for msg in sample_messages(toy)[3:5]:
-            msg = dataclasses.replace(msg, sent_at=2**64 - 1)
+        for msg, name in timestamp_fields(toy):
+            msg = dataclasses.replace(msg, **{name: 2**64 - 1})
             assert wire.decode(wire.encode(msg, toy), toy) == msg
 
     def test_identity_length_bounds(self):
@@ -171,18 +179,18 @@ class TestSealedBox:
 
 class TestMutation:
     def test_flips_never_produce_equal_message(self, toy):
-        original = sample_messages(toy)[3]
-        blob = wire.encode(original, toy)
         rng = random.Random(31)
-        for _ in range(400):
-            i = rng.randrange(len(blob))
-            mutated = bytearray(blob)
-            mutated[i] ^= 1 << rng.randrange(8)
-            try:
-                decoded = wire.decode(bytes(mutated), toy)
-            except DecodeError:
-                continue
-            assert decoded != original
+        for original in sample_messages(toy)[3:5]:  # AuthRequest, AuthResponse
+            blob = wire.encode(original, toy)
+            for _ in range(400):
+                i = rng.randrange(len(blob))
+                mutated = bytearray(blob)
+                mutated[i] ^= 1 << rng.randrange(8)
+                try:
+                    decoded = wire.decode(bytes(mutated), toy)
+                except DecodeError:
+                    continue
+                assert decoded != original
 
     @given(st.binary(max_size=300))
     @settings(max_examples=400, deadline=None)
