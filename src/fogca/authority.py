@@ -60,11 +60,10 @@ REVOKE_REASONS = ("compromise", "expiry", "policy")
 
 @dataclass
 class RegistrationRecord:
-    """Issued authentication key plus issue metadata.  `ident_point` is
-    H1(child_id), which handshakes use; it is not persisted, so
-    `load_records` computes it again, as `register_child` does."""
+    """Issue metadata; the issued key s*H1(child_id) is sealed, not kept.
+    `ident_point` is H1(child_id), which handshakes use; it is not
+    persisted, so `load_records` computes it as `register_child` does."""
     child_id: bytes
-    auth_key: curve.CurvePoint
     issued_at: int
     lifetime_ms: int | None  # None = no scheduled expiry
     ident_point: curve.CurvePoint = field(compare=False, repr=False)
@@ -157,7 +156,7 @@ class AuthorityState:
         box = seal(record.channel_key,
                    curve.encode_point(self.params, auth_key), self.rng)
         self.registry[req.child_id] = RegistrationRecord(
-            req.child_id, auth_key, now, lifetime_ms, ident_point)
+            req.child_id, now, lifetime_ms, ident_point)
         self.crl.pop(req.child_id, None)
         self.sessions.pop(req.child_id, None)
         return RegistrationResponse(box)
@@ -280,12 +279,13 @@ class AuthorityState:
     # ---- persistence: line-oriented, hex fields ----------------------------
 
     def dump_records(self) -> list[str]:
-        lines = []
+        """A `CA` line naming this authority's public key, then one line
+        per registration and per revocation."""
+        own_key = curve.encode_point(self.params, self.public_key)
+        lines = ["CA " + own_key.hex()]
         for rec in self.registry.values():
             lines.append(" ".join([
-                "REG", rec.child_id.hex(),
-                curve.encode_point(self.params, rec.auth_key).hex(),
-                str(rec.issued_at),
+                "REG", rec.child_id.hex(), str(rec.issued_at),
                 "-" if rec.lifetime_ms is None else str(rec.lifetime_ms)]))
         for entry in self.crl.values():
             lines.append(" ".join([
@@ -295,10 +295,13 @@ class AuthorityState:
 
     def load_records(self, lines) -> None:
         """Restore registry and CRL from `dump_records` output.  A bad
-        line, or an identity on a second line, raises MalformedRecord
+        line, an identity on a second line, or a first record line that
+        is not a `CA` line naming this authority raises MalformedRecord
         and leaves the state as it was."""
         registry: dict[bytes, RegistrationRecord] = {}
         crl: dict[bytes, CrlEntry] = {}
+        own_key = curve.encode_point(self.params, self.public_key)
+        named = False  # the CA line has been read
 
         def new_identity(cid: str) -> bytes:
             child_id = bytes.fromhex(cid)
@@ -307,14 +310,22 @@ class AuthorityState:
             return child_id
 
         def parse(fields):
+            nonlocal named
             kind, rest = fields[0], fields[1:]
-            if kind == "REG":
-                cid, key_hex, issued, lifetime = rest
+            if kind == "CA":
+                [key_hex] = rest
+                if named:
+                    raise ValueError("a second CA line")
+                if bytes.fromhex(key_hex) != own_key:
+                    raise ValueError("written by another authority")
+                named = True
+            elif not named:
+                raise ValueError("the first record line is not a CA line")
+            elif kind == "REG":
+                cid, issued, lifetime = rest
                 child_id = new_identity(cid)
                 registry[child_id] = RegistrationRecord(
-                    child_id,
-                    curve.decode_point(self.params, bytes.fromhex(key_hex)),
-                    int(issued),
+                    child_id, int(issued),
                     None if lifetime == "-" else int(lifetime),
                     curve.hash_to_point(self.params, child_id))
             elif kind == "CRL":

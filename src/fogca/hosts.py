@@ -142,7 +142,8 @@ class AuthorityHost:
 @dataclass(slots=True)
 class Transaction:
     """A registration or handshake that a ChildHost sent; `state`, the
-    state that its reply runs on, is dropped once a reply completes it."""
+    state that its reply runs on, is dropped once a reply completes or
+    spends it, and a transaction without one is not sent again."""
     reply: type            # RegistrationResponse | AuthResponse
     payload: bytes         # what a retry sends again
     state: ChildState | None
@@ -157,14 +158,15 @@ class ChildHost:
     every `retransmit_timeout_ms` while retries remain.  An open
     handshake waits under its T1, which its AuthResponse echoes; a
     response that echoes no open T1 is refused and touches no state.
-    A refused response spends its handshake but leaves the registration
-    waiting; any other message runs on the device's own state.  A
-    handshake on the device's own state confirms an installed key,
-    which the first action or delivery after the freshness window drops
-    if that round is still open.  Other handshakes run on states of
-    their own, so that several can be in flight; one started without a
-    key waits for it, and one started in the ms of the last AuthRequest,
-    whose T1 it would repeat, runs 1 ms later."""
+    A refused response spends its handshake, which is not sent again,
+    but leaves the registration waiting; any other message runs on the
+    device's own state.  A handshake on the device's own state confirms
+    an installed key, which the first action or delivery after the
+    freshness window drops if that round is still open.  Other
+    handshakes run on states of their own, so that several can be in
+    flight; one started without a key waits for it, and one started in
+    the ms of the last AuthRequest, whose T1 it would repeat, runs 1 ms
+    later."""
 
     def __init__(self, node_id: str, state: ChildState, pick_server,
                  max_retries: int = 0, retransmit_timeout_ms: int = 0):
@@ -239,7 +241,7 @@ class ChildHost:
                         lambda n, t=txn: self._retransmit(n, t))
 
     def _retransmit(self, net: Network, txn: Transaction) -> None:
-        if txn.completed_at is not None:
+        if txn.state is None:  # answered, or a handshake already spent
             return
         txn.retries += 1
         # the shared registry and replay cache let either server answer
@@ -258,16 +260,16 @@ class ChildHost:
         self._settle(net)
         try:
             msg = wire.decode(event.payload, self.state.params)
-            txn = None
+            txn, state = None, self.state
             if isinstance(msg, wire.AuthResponse):
-                # a handshake state answers once
                 txn = self.handshakes.pop(msg.request_sent_at, None)
                 if txn is None:
                     raise NoPendingChallenge(
                         f"no handshake sent at T1={msg.request_sent_at}")
+                # a handshake state answers once, whatever the verdict
+                state, txn.state = txn.state, None
             elif isinstance(msg, wire.RegistrationResponse):
                 txn = self.registering
-            state = self.state if txn is None else txn.state
             reply = respond(state, event.src, msg)
             if txn is not None:
                 txn.completed_at, txn.state = net.now, None

@@ -7,6 +7,11 @@ from fogca.crypto import ManualClock
 from fogca.scenarios import Fleet
 
 
+def ca_line(state) -> str:
+    """The `CA` line that opens every registry file `state` writes."""
+    return "CA " + curve.encode_point(state.params, state.public_key).hex()
+
+
 @pytest.fixture(scope="session")
 def toy():
     return curve.toy17()

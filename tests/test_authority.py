@@ -24,7 +24,7 @@ from fogca.errors import (
 from fogca.integrity import TrustState, perturb_profile
 from fogca.scenarios import device_profile
 
-from conftest import Rig
+from conftest import Rig, ca_line
 
 
 def register_short_lived(rig, ident: bytes, lifetime_ms: int):
@@ -265,7 +265,8 @@ class TestRevocation:
             toy_rig.authority.revoke(b"never-seen", "policy")
         # an identity known only before a load is unknown after it
         toy_rig.register(b"cam-01")
-        toy_rig.authority.load_records(["CRL 62 5 policy"])
+        toy_rig.authority.load_records([ca_line(toy_rig.authority),
+                                        "CRL 62 5 policy"])
         with pytest.raises(UnknownId):
             toy_rig.authority.revoke(b"cam-01", "policy")
 
@@ -282,11 +283,12 @@ class TestRevocation:
         toy_rig.clock.advance(5)
         second_at = toy_rig.clock.now()
         a.revoke(b"cam-01", second)
-        lines = [f"CRL {b'cam-01'.hex()} {first_at} {first}",
+        lines = [ca_line(a),
+                 f"CRL {b'cam-01'.hex()} {first_at} {first}",
                  f"CRL {b'cam-01'.hex()} {second_at} {second}"]
-        assert a.dump_records() == lines[1:]
+        assert a.dump_records() == [lines[0], lines[2]]
         # a file that lists both revocations is refused at the later one
-        with pytest.raises(MalformedRecord, match="^line 2: "):
+        with pytest.raises(MalformedRecord, match="^line 3: "):
             a.load_records(lines)
         assert list(a.crl.values()) == [
             authority.CrlEntry(b"cam-01", second_at, second)]
@@ -299,11 +301,11 @@ class TestRevocation:
         # CRL, so a file listing it in both is refused at the later line
         toy_rig.register(b"cam-01")
         a = toy_rig.authority
-        before = a.dump_records()
+        ca, registered = a.dump_records()
         a.revoke(b"cam-01", "policy")
-        after = a.dump_records()
-        for lines in (before + after, after + before):
-            with pytest.raises(MalformedRecord, match="^line 2: "):
+        [_, revoked] = a.dump_records()
+        for lines in ([ca, registered, revoked], [ca, revoked, registered]):
+            with pytest.raises(MalformedRecord, match="^line 3: "):
                 a.load_records(lines)
             assert list(a.registry) == [] and list(a.crl) == [b"cam-01"]
 
@@ -316,11 +318,11 @@ class TestRevocation:
         if revoked:
             a.revoke(b"cam-01", "policy")
         held = a.dump_records()
-        [line] = held
+        [ca, line] = held
         kind, cid, *fields = line.split()
-        fields[-2 if revoked else -3] = "999"  # revoked_at | issued_at
-        with pytest.raises(MalformedRecord, match="^line 2: .*earlier line"):
-            a.load_records([line, " ".join([kind, cid, *fields])])
+        fields[-2] = "999"  # revoked_at | issued_at
+        with pytest.raises(MalformedRecord, match="^line 3: .*earlier line"):
+            a.load_records([ca, line, " ".join([kind, cid, *fields])])
         assert a.dump_records() == held
 
     def test_revoke_bad_reason(self, toy_rig):
@@ -449,25 +451,67 @@ class TestStateHygiene:
                                                 a.params.base_point)
 
     def test_persistence_roundtrip(self, toy_rig, tmp_path):
-        toy_rig.register(b"cam-01")
+        cam = toy_rig.register(b"cam-01")
         register_short_lived(toy_rig, b"car-77", 5000)
         toy_rig.register(b"lock-02")
         toy_rig.authority.revoke(b"lock-02", "compromise")
         path = tmp_path / "registry.txt"
         toy_rig.authority.save_records(path)
         text = path.read_text()
+        assert text.splitlines()[0] == ca_line(toy_rig.authority)
         assert [len(line.split()) for line in text.splitlines()
-                if line.startswith("REG")] == [5, 5]
+                if line.startswith("REG")] == [4, 4]
         assert toy_rig.store.get(b"cam-01").channel_key.hex() not in text
 
-        fresh, _ = authority.setup(toy_rig.params, random.Random(55))
+        # another authority refuses the file at its CA line
+        other, _ = authority.setup(toy_rig.params, random.Random(55))
+        assert other.public_key != toy_rig.authority.public_key
+        with pytest.raises(MalformedRecord, match="^line 1: .*another"):
+            other.load_records_file(path)
+        assert other.registry == {} and other.crl == {}
+
+        fresh = authority.AuthorityState(
+            toy_rig.params, toy_rig.authority.private_key, random.Random(55),
+            toy_rig.clock, toy_rig.store)
         fresh.load_records_file(path)
         assert set(fresh.registry) == {b"cam-01", b"car-77"}
         assert fresh.registry[b"car-77"].lifetime_ms == 5000
-        assert fresh.registry[b"cam-01"].auth_key == \
-            toy_rig.authority.registry[b"cam-01"].auth_key
         assert fresh.is_revoked(b"lock-02")
         assert fresh.crl[b"lock-02"].reason == "compromise"
+        # a device registered before the dump authenticates to the loader
+        toy_rig.clock.advance(10)
+        resp = fresh.handle_auth_request(cam.auth_init())
+        assert cam.auth_finish(resp) == fresh.sessions[b"cam-01"][1]
+
+    @pytest.mark.parametrize("preset", ["toy", "prod"])
+    def test_dump_of_another_authority_refused(self, preset, request):
+        # probe 4: a dump names the authority that wrote it, so a
+        # registry from one authority does not load into another
+        params = request.getfixturevalue(preset)
+        writer, reader = Rig(params, seed=1), Rig(params, seed=99)
+        assert writer.authority.public_key != reader.authority.public_key
+        writer.register(b"cam-01")
+        reader.register(b"lock-02")
+        reader.register(b"door-04")
+        reader.authority.revoke(b"door-04", "policy")
+        held = (dict(reader.authority.registry), dict(reader.authority.crl))
+        with pytest.raises(MalformedRecord, match="^line 1: .*another"):
+            reader.authority.load_records(writer.authority.dump_records())
+        assert (reader.authority.registry, reader.authority.crl) == held
+
+    def test_dump_holds_no_issued_key(self, prod_rig):
+        # on prod256 a key's 65-byte encoding cannot turn up by chance
+        children = [prod_rig.register(ident)
+                    for ident in (b"cam-01", b"lock-02", b"car-77")]
+        prod_rig.authority.revoke(b"lock-02", "compromise")
+        dump = "\n".join(prod_rig.authority.dump_records())
+        for child in children:
+            issued = curve.scalar_mul(
+                prod_rig.params, prod_rig.authority.private_key,
+                curve.hash_to_point(prod_rig.params, child.ident))
+            assert issued == child.auth_key
+            encoded = curve.encode_point(prod_rig.params, issued)
+            assert encoded.hex() not in dump
 
     def test_dump_records_is_pinned(self, toy_rig):
         # a register / revoke / reissue / purge history; a reissue drops
@@ -488,8 +532,9 @@ class TestStateHygiene:
         a.revoke(b"lock-02", "compromise")
         toy_rig.register(b"cam-01")
         assert a.dump_records() == [
-            "REG 6875622d3035 04100d 5 -",
-            "REG 63616d2d3031 040301 141 -",
+            "CA 040d0a",
+            "REG 6875622d3035 5 -",
+            "REG 63616d2d3031 141 -",
             "CRL 6361722d3737 128 expiry",
             "CRL 646f6f722d3034 133 policy",
             "CRL 6c6f636b2d3032 136 compromise",

@@ -561,6 +561,22 @@ class TestDevice:
             "NoPendingChallenge", "key-agreement"]
         assert dev.registered
 
+    def test_spent_handshake_is_not_sent_again(self):
+        # a forged response that echoes the open T1 = 40 spends that
+        # handshake: no retry sends it again, so the CA serves the
+        # registration, the confirmation round and that handshake once
+        net, fleet, dev = _device_rig()
+        ca = net.handlers["fog-ca"].__self__
+        _issue(net, fleet)
+        net.call_at(40, lambda n: dev.start_auth(n, "fog-ca"))
+        _forge_auth_response(net, fleet, request_sent_at=40, at=40)
+        net.run()
+        _, _, spent = dev.transactions
+        assert spent.completed_at is None and spent.state is None
+        assert spent.retries == 0 and ca.tasks == 3
+        assert [v.kind for v in dev.verdicts] == [
+            "key-agreement", "KeyMismatch", "NoPendingChallenge"]
+
     @pytest.mark.parametrize("index", range(8))
     def test_stray_message_consumes_no_transaction(self, index):
         net, fleet, dev = _device_rig()

@@ -25,6 +25,8 @@ from fogca.integrity import (
     verify_ivv,
 )
 
+from conftest import ca_line
+
 IVV_GOLDEN = "8819ae255296e501cdc75dc96f5eb412af73051b99dbbdd01a684fdf3032d3c1"
 
 
@@ -292,10 +294,7 @@ AFFINITY = st.lists(
     st.tuples(PROFILES, DIGESTS, st.sampled_from(TrustState), TIMES),
     max_size=4, unique_by=lambda rec: rec[0].device_id)
 REGISTRY = st.lists(
-    st.tuples(IDENTS,
-              st.sampled_from(sorted(curve.enumerate_points(curve.toy17()),
-                                     key=lambda q: (q.x is None, q.x, q.y))),
-              TIMES, st.none() | TIMES),
+    st.tuples(IDENTS, TIMES, st.none() | TIMES),
     max_size=4, unique_by=lambda rec: rec[0])
 CRL = st.lists(
     st.tuples(IDENTS, TIMES, st.sampled_from(authority.REVOKE_REASONS)),
@@ -305,8 +304,7 @@ CRL = st.lists(
 class TestPersistence:
     @settings(max_examples=200, deadline=None)
     @given(records=REGISTRY, crl=CRL)
-    @example(records=[(b"\x00", curve.INFINITY, 0, 0)],
-             crl=[(b"\x00", 0, "expiry")])
+    @example(records=[(b"\x00", 0, 0)], crl=[(b"\x00", 0, "expiry")])
     def test_registry_and_crl_roundtrip(self, records, crl):
         state, _ = authority.setup(curve.toy17(), random.Random(3))
         state.registry = {
@@ -314,7 +312,14 @@ class TestPersistence:
                 *rec, curve.hash_to_point(state.params, rec[0]))
             for rec in records}
         state.crl = {entry[0]: authority.CrlEntry(*entry) for entry in crl}
-        loaded, _ = authority.setup(curve.toy17(), random.Random(4))
+        # another authority refuses the dump at its CA line
+        other, _ = authority.setup(curve.toy17(), random.Random(5))
+        assert other.public_key != state.public_key
+        with pytest.raises(MalformedRecord, match="^line 1: "):
+            other.load_records(state.dump_records())
+        assert not other.registry and not other.crl
+        loaded = authority.AuthorityState(state.params, state.private_key,
+                                          random.Random(4))
         if state.registry.keys() & state.crl.keys():
             # no operation leaves an identity both registered and revoked
             with pytest.raises(MalformedRecord):
@@ -368,19 +373,43 @@ class TestPersistence:
             AffinityStore.from_lines([good, "# comment", bad])
 
     @pytest.mark.parametrize("bad", [
-        "REG zz 00 0 -",            # hex
-        "REG 61 00 0",              # field count
+        "REG zz 0 -",               # hex
+        "REG 61 0",                 # field count
         "REV 61 0 policy",          # record type
         "CRL 61 soon policy",       # int
         "CRL 61 0 boredom",         # revocation reason
-        "REG 61 0401 0 -",          # point encoding
+        "REG 61 00 0 -",            # the old five-token form, with a key
     ])
     def test_registry_bad_line_leaves_state(self, bad):
         state, _ = authority.setup(curve.toy17(), random.Random(3))
-        state.load_records(["CRL 62 5 policy"])
-        with pytest.raises(MalformedRecord, match="^line 2: "):
-            state.load_records(["REG 61 00 0 -", bad])
+        state.load_records([ca_line(state), "CRL 62 5 policy"])
+        with pytest.raises(MalformedRecord, match="^line 3: "):
+            state.load_records([ca_line(state), "REG 61 0 -", bad])
         assert state.registry == {} and state.is_revoked(b"b")
+
+    @pytest.mark.parametrize("lines, lineno, reason", [
+        (["REG 61 0 -"], 1, "not a CA line"),                   # missing
+        (["# registry", "", "CRL 61 0 policy"], 3, "not a CA line"),
+        (["{ca}", "REG 61 0 -", "{ca}"], 3, "second CA line"),  # repeated
+        (["CA"], 1, "ValueError"),                              # no key
+        (["CA zz"], 1, "ValueError"),                           # hex
+    ])
+    def test_registry_ca_line_refusals(self, lines, lineno, reason):
+        # a foreign key: test_dump_of_another_authority_refused
+        state, _ = authority.setup(curve.toy17(), random.Random(3))
+        own = ca_line(state)
+        state.load_records([own, "CRL 62 5 policy"])
+        lines = [line.format(ca=own) for line in lines]
+        with pytest.raises(MalformedRecord,
+                           match=f"^line {lineno}: .*{reason}"):
+            state.load_records(lines)
+        assert state.registry == {} and state.is_revoked(b"b")
+
+    def test_registry_file_without_records_loads_empty(self):
+        state, _ = authority.setup(curve.toy17(), random.Random(3))
+        state.load_records([ca_line(state), "CRL 62 5 policy"])
+        state.load_records(["", "# no records", "   "])
+        assert state.registry == {} and state.crl == {}
 
     def test_device_on_two_lines_refused(self):
         line = _affinity_line(serialize_profile(profile(b"ok")))
