@@ -70,7 +70,9 @@ class ChildState:
         # initiator -> (challenge nonce, relayed key): the key joins
         # peer_sessions only once the initiator echoes the nonce
         self.pending_challenges: dict[bytes, tuple[bytes, bytes]] = {}
-        self._pending_auth: curve.CurvePoint | None = None  # random point
+        # open handshakes by T1: (random point, the key that masked it)
+        self._pending_auth: dict[int, tuple[curve.CurvePoint,
+                                            curve.CurvePoint]] = {}
 
     # ---- registration ------------------------------------------------------
 
@@ -117,19 +119,12 @@ class ChildState:
             self._ident_point = curve.hash_to_point(self.params, self.ident)
         return self._ident_point
 
-    def handshake(self) -> "ChildState":
-        """A state of its own for one more handshake, so that several can
-        be in flight at once.  It shares this device's keys, random
-        source, clock and cached H1(ident)."""
-        state = ChildState(self.ident, self.announcement, self.channel_key,
-                           self.rng, self.clock, self.freshness_window_ms)
-        state.auth_key = self.auth_key
-        state._ident_point = self._identity_point()
-        return state
-
     def auth_init(self) -> AuthRequest:
         """Start a handshake: draw a random point, mask it with the
-        authentication key, and prove knowledge of its x-coordinate."""
+        authentication key, and prove knowledge of its x-coordinate.
+        Several may be open at once, each under its T1; one whose T1 is
+        more than two freshness windows old is forgotten, since no
+        response to it could still be fresh."""
         if self.auth_key is None:
             raise NotRegistered("no authentication key installed")
         params = self.params
@@ -142,18 +137,25 @@ class ChildState:
             params, random_point,
             curve.scalar_mul(params, t1, self.auth_key))
         x_proof = curve.scalar_mul(params, random_point.x, params.base_point)
-        self._pending_auth = random_point
+        pending = self._pending_auth
+        horizon = sent_at - 2 * self.freshness_window_ms
+        # no clock runs back, so the oldest T1 is the first key
+        while pending and (oldest := next(iter(pending))) < horizon:
+            del pending[oldest]
+        pending[sent_at] = (random_point, self.auth_key)
         return AuthRequest(self.ident, blinded, x_proof, sent_at)
 
     def auth_finish(self, resp: AuthResponse) -> bytes:
-        """Check the authority's response and derive the session key;
-        accepted only if the key-confirmation point verifies."""
-        if self.auth_key is None:
-            raise NotRegistered("no authentication key installed")
-        if self._pending_auth is None:
-            raise NoPendingChallenge("auth_finish without a pending auth_init")
-        random_point = self._pending_auth
-        self._pending_auth = None
+        """Check the authority's response to the handshake whose T1 it
+        echoes, with the key that masked that request, and derive the
+        session key; accepted only if the key-confirmation point
+        verifies.  The handshake is spent whatever the outcome, and a
+        success confirms that key only while it is still installed."""
+        pending = self._pending_auth.pop(resp.request_sent_at, None)
+        if pending is None:
+            raise NoPendingChallenge(
+                f"no handshake open at T1={resp.request_sent_at}")
+        random_point, auth_key = pending
         params = self.params
         now = self.clock.now()
         if not check_freshness(resp.sent_at, now, self.freshness_window_ms):
@@ -162,7 +164,7 @@ class ChildState:
                                   [timestamp_bytes(resp.sent_at)])
         server_point = curve.point_sub(
             params, resp.blinded,
-            curve.scalar_mul(params, t2, self.auth_key))
+            curve.scalar_mul(params, t2, auth_key))
         if server_point.is_infinity:
             raise KeyMismatch("recovered server point is infinity")
         w = params.field_width
@@ -176,7 +178,8 @@ class ChildState:
         if check != resp.key_check:
             raise KeyMismatch("key-confirmation point does not verify")
         self.ca_session = (k_scalar, key)
-        self.confirming = False
+        if auth_key == self.auth_key:
+            self.confirming = False
         return key
 
     # ---- peer key agreement (both roles) -------------------------------------

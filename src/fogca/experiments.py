@@ -15,8 +15,8 @@ congestion-inflation effect), and every delay statistic comes out of
 its completed transactions.
 
 Transactions overlap freely: a device may have several handshakes in
-flight, each on its own handshake state and matched to its response by
-the T1 that the response echoes, so links may jitter and drop.  A device
+flight on its one state, each matched to its response by the T1 that
+the response echoes, so links may jitter and drop.  A device
 confirms its issued key with one handshake, as the gallery and
 `Fleet.register` do: that round counts as a handshake, and a
 registration's delay ends when its key is installed.

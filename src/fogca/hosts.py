@@ -7,8 +7,10 @@ dispatcher; both take a decoded message, so bytes served again are
 decoded once.  Refusals never cross the wire: a child host records
 each as a verdict, in order, and an authority host counts them by kind,
 so refused traffic costs it one count per kind, not an object per
-request.  The attack scenarios assert on both.  Whether an issued key
-awaits its confirmation is the child's own state,
+request.  The attack scenarios assert on both.  A device has one
+`ChildState`, which pairs each AuthResponse with its open handshake by
+the echoed T1, so several handshakes can be in flight on it; whether an
+issued key awaits its confirmation is that state's own
 `ChildState.confirming`.  `ChildHost` drives every device, and each
 confirms its issued key with one handshake; `AuthorityHost` drives every
 CA instance.  Both serve the attack gallery and the placement study
@@ -29,12 +31,6 @@ from .child import ChildState
 from .errors import (FogcaError, NoPendingChallenge, UnexpectedMessage,
                      UnknownDevice)
 from .simnet import Network, SimEvent
-
-
-@dataclass(slots=True)
-class Verdict:
-    kind: str      # e.g. "ReplayDetected", "key-agreement"
-    detail: str = ""
 
 
 def answer(state: AuthorityState, profiles, src: str,
@@ -141,15 +137,15 @@ class AuthorityHost:
 
 @dataclass(slots=True)
 class Transaction:
-    """A registration or handshake that a ChildHost sent; `state`, the
-    state that its reply runs on, is dropped once a reply completes or
-    spends it, and a transaction without one is not sent again."""
+    """A registration or handshake that a ChildHost sent.  It is
+    `settled` once a reply completes it, or, for a handshake, once a
+    refused reply spends it; a settled transaction is not sent again."""
     reply: type            # RegistrationResponse | AuthResponse
     payload: bytes         # what a retry sends again
-    state: ChildState | None
     first_sent: int
     completed_at: int | None = None
     retries: int = 0
+    settled: bool = False
 
 
 class ChildHost:
@@ -159,14 +155,14 @@ class ChildHost:
     handshake waits under its T1, which its AuthResponse echoes; a
     response that echoes no open T1 is refused and touches no state.
     A refused response spends its handshake, which is not sent again,
-    but leaves the registration waiting; any other message runs on the
-    device's own state.  A handshake on the device's own state confirms
-    an installed key, which the first action or delivery after the
-    freshness window drops if that round is still open.  Other
-    handshakes run on states of their own, so that several can be in
-    flight; one started without a key waits for it, and one started in
+    but leaves the registration waiting.  Every message runs on the
+    device's one state.  The first handshake that settles with the
+    installed, unconfirmed key decides it: a success confirms the key
+    and a failure drops it, as does the first action or delivery after
+    the freshness window of the round sent when it was installed.  A
+    handshake started without a key waits for it, and one started in
     the ms of the last AuthRequest, whose T1 it would repeat, runs 1 ms
-    later."""
+    later.  `verdicts` records the kind of each outcome, in order."""
 
     def __init__(self, node_id: str, state: ChildState, pick_server,
                  max_retries: int = 0, retransmit_timeout_ms: int = 0):
@@ -182,7 +178,7 @@ class ChildHost:
         self.confirm_by: int | None = None  # the confirmation round's end
         self.auth_sent_at: int | None = None  # the ms of the last AuthRequest
         self.established: list[bytes] = []
-        self.verdicts: list[Verdict] = []
+        self.verdicts: list[str] = []
 
     @property
     def registered(self) -> bool:
@@ -196,7 +192,7 @@ class ChildHost:
 
     def start_registration(self, net: Network, server: str | None = None) -> None:
         self._settle(net)
-        self._send(net, server, self.state.request_registration(), self.state)
+        self._send(net, server, self.state.request_registration())
 
     def start_auth(self, net: Network, server: str | None = None) -> None:
         self._settle(net)
@@ -206,11 +202,10 @@ class ChildHost:
         if net.now == self.auth_sent_at:  # one T1 twice is a replay
             net.call_at(net.now + 1, lambda n: self.start_auth(n, server))
             return
-        handshake = self.state.handshake()
         try:
-            self._send(net, server, handshake.auth_init(), handshake)
+            self._send(net, server, self.state.auth_init())
         except FogcaError as exc:
-            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
+            self.verdicts.append(type(exc).__name__)
 
     def start_peer(self, net: Network, peer_id: bytes) -> None:
         self._settle(net)
@@ -218,19 +213,18 @@ class ChildHost:
             net.send(self.node_id, self.pick_server(), wire.encode(
                 self.state.peer_init(peer_id), self.state.params))
         except FogcaError as exc:
-            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
+            self.verdicts.append(type(exc).__name__)
 
     def _send(self, net: Network, server: str | None,
-              request: wire.RegistrationRequest | wire.AuthRequest,
-              state: ChildState) -> None:
+              request: wire.RegistrationRequest | wire.AuthRequest) -> None:
         payload = wire.encode(request, self.state.params)
         if isinstance(request, wire.AuthRequest):
             txn = self.handshakes[request.sent_at] = Transaction(
-                wire.AuthResponse, payload, state, net.now)
+                wire.AuthResponse, payload, net.now)
             self.auth_sent_at = net.now
         else:
             txn = self.registering = Transaction(
-                wire.RegistrationResponse, payload, state, net.now)
+                wire.RegistrationResponse, payload, net.now)
         self.transactions.append(txn)
         net.send(self.node_id, server or self.pick_server(), payload)
         self._arm_timeout(net, txn)
@@ -241,7 +235,7 @@ class ChildHost:
                         lambda n, t=txn: self._retransmit(n, t))
 
     def _retransmit(self, net: Network, txn: Transaction) -> None:
-        if txn.state is None:  # answered, or a handshake already spent
+        if txn.settled:
             return
         txn.retries += 1
         # the shared registry and replay cache let either server answer
@@ -260,38 +254,39 @@ class ChildHost:
         self._settle(net)
         try:
             msg = wire.decode(event.payload, self.state.params)
-            txn, state = None, self.state
+            txn = None
             if isinstance(msg, wire.AuthResponse):
+                # refused here, before respond's failure path could drop
+                # an unconfirmed key; a handshake answers once, whatever
+                # the verdict
                 txn = self.handshakes.pop(msg.request_sent_at, None)
                 if txn is None:
                     raise NoPendingChallenge(
                         f"no handshake sent at T1={msg.request_sent_at}")
-                # a handshake state answers once, whatever the verdict
-                state, txn.state = txn.state, None
+                txn.settled = True
             elif isinstance(msg, wire.RegistrationResponse):
                 txn = self.registering
-            reply = respond(state, event.src, msg)
+            reply = respond(self.state, event.src, msg)
             if txn is not None:
-                txn.completed_at, txn.state = net.now, None
+                txn.completed_at, txn.settled = net.now, True
             if reply is not None:
                 net.send(self.node_id, *reply)
             elif isinstance(msg, wire.RegistrationResponse):
                 self.registering = None
                 self._key_installed(net)
             elif isinstance(msg, wire.AuthResponse):
-                self.state.ca_session = state.ca_session
-                self.verdicts.append(Verdict("key-agreement", "OK"))
+                self.verdicts.append("key-agreement")
             else:  # a PeerProof, the last message respond accepts silently
                 self.established.append(event.src.encode())
-                self.verdicts.append(Verdict("peer-established", event.src))
+                self.verdicts.append("peer-established")
         except FogcaError as exc:
-            self.verdicts.append(Verdict(type(exc).__name__, str(exc)))
+            self.verdicts.append(type(exc).__name__)
 
     def _key_installed(self, net: Network) -> None:
         """Confirm the key, then send the handshakes that waited for it,
         1 ms apart (distinct timestamps)."""
         try:
-            self._send(net, None, self.state.auth_init(), self.state)
+            self._send(net, None, self.state.auth_init())
         except FogcaError:
             self.state.handshake_failed()  # as confirm_auth_key does
             raise

@@ -137,7 +137,7 @@ def build_rig(seed: int, params: curve.CurveParams,
 def _verdicts(rig: _Rig) -> list[str]:
     out = list(rig.authority_host.refusals.elements())
     for child_host in rig.children.values():
-        out.extend(v.kind for v in child_host.verdicts)
+        out.extend(child_host.verdicts)
     return out
 
 
@@ -247,7 +247,7 @@ def run_impersonate(seed: int, params: curve.CurveParams | None = None) -> Scena
     mallory.start_auth(net)
     net.run()
     net.handlers.clear()
-    observed = _verdicts(rig) + [v.kind for v in mallory.verdicts]
+    observed = _verdicts(rig) + mallory.verdicts
     return ScenarioReport(
         "impersonate", seed,
         blocked="BadProof" in rig.authority_host.refusals,

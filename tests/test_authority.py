@@ -551,11 +551,17 @@ class TestStateHygiene:
     def test_replay_cache_purge(self, toy):
         rig = Rig(toy, seed=77)
         child = rig.register(b"cam-01")
+        sent = []
         for _ in range(5000):
             rig.clock.advance(7)
-            rig.authority.handle_auth_request(child.auth_init())
-            child._pending_auth = None
+            req = child.auth_init()
+            sent.append(req.sent_at)
+            rig.authority.handle_auth_request(req)
         assert len(rig.authority.replay_cache) <= 4096 + 1
+        # the child keeps, of its unanswered handshakes, only those whose
+        # T1 lies within two freshness windows of its last auth_init
+        horizon = sent[-1] - 2 * child.freshness_window_ms
+        assert list(child._pending_auth) == [t for t in sent if t >= horizon]
 
     def test_replay_cache_expires_with_the_window(self, toy):
         # more than 4,096 verified (identity, T1) pairs inside one window
@@ -626,8 +632,8 @@ class TestIdentityPointCache:
         assert toy_rig.authority.registry[b"cam-01"].ident_point == point
         assert child._ident_point == point
 
-    def test_overlapping_handshakes_share_the_device_point(self, toy_rig,
-                                                            monkeypatch):
+    def test_overlapping_handshakes_answered_out_of_order(self, toy_rig,
+                                                           monkeypatch):
         child = toy_rig.provision(b"cam-01")
         toy_rig.clock.advance(5)
         child.install_auth_key(toy_rig.authority.register_child(
@@ -636,14 +642,13 @@ class TestIdentityPointCache:
         requests = []
         for _ in range(3):  # all in flight before the first answer
             toy_rig.clock.advance(10)
-            handshake = child.handshake()
-            requests.append((handshake, handshake.auth_init()))
-        for handshake, req in requests:
+            requests.append(child.auth_init())
+        for req in reversed(requests):  # each paired by its echoed T1
             resp = toy_rig.authority.handle_auth_request(req)
-            assert (handshake.auth_finish(resp)
+            assert (child.auth_finish(resp)
                     == toy_rig.authority.sessions[b"cam-01"][1])
         assert calls == [b"cam-01"]
-        assert child.ca_session is None  # each handshake has its own
+        assert not child.confirming and child._pending_auth == {}
 
     @pytest.mark.parametrize("rig_name", ["toy_rig", "prod_rig"])
     def test_loaded_record_fills_its_point(self, rig_name, request,

@@ -121,13 +121,31 @@ class TestAuthInitiator:
         with pytest.raises(NoPendingChallenge):
             child.auth_finish(resp)
 
-    def test_finish_without_key(self, toy_rig):
-        child = toy_rig.register(b"cam-01")
-        toy_rig.clock.advance(5)
-        resp = toy_rig.authority.handle_auth_request(child.auth_init())
-        child.auth_key = None
-        with pytest.raises(NotRegistered):
-            child.auth_finish(resp)
+    def test_response_after_the_key_is_dropped(self, toy_rig):
+        # each handshake finishes with the key that masked its request,
+        # but puts no dropped key back and confirms no other key
+        params = toy_rig.params
+        child = toy_rig.provision(b"cam-01")
+        child.install_auth_key(toy_rig.authority.register_child(
+            child.request_registration(), toy_rig.profiles[b"cam-01"]))
+        answered = []
+        for _ in range(2):
+            toy_rig.clock.advance(5)
+            resp = toy_rig.authority.handle_auth_request(child.auth_init())
+            answered.append((resp, toy_rig.authority.sessions[b"cam-01"][1]))
+        child.handshake_failed()
+        assert child.auth_key is None and not child.confirming
+        resp, session = answered[0]
+        assert child.auth_finish(resp) == session
+        assert child.auth_key is None and not child.confirming
+        other = curve.scalar_mul(params, 2, toy_rig.authority.registry[
+            b"cam-01"].ident_point)
+        child.install_auth_key(wire.RegistrationResponse(seal(
+            child.channel_key, curve.encode_point(params, other),
+            random.Random(0))))
+        resp, session = answered[1]
+        assert child.auth_finish(resp) == session
+        assert child.auth_key == other and child.confirming
 
     def test_tampered_key_check_rejected(self, toy_rig):
         child = toy_rig.register(b"cam-01")
@@ -161,14 +179,17 @@ class TestAuthInitiator:
             child.auth_finish(resp)
 
     def test_replayed_old_response_rejected(self, toy_rig):
+        # it echoes a T1 that no open handshake has, and changes nothing
         child = toy_rig.register(b"cam-01")
         toy_rig.clock.advance(5)
         old_resp = toy_rig.authority.handle_auth_request(child.auth_init())
         child.auth_finish(old_resp)
         toy_rig.clock.advance(child.freshness_window_ms + 50)
         child.auth_init()
-        with pytest.raises((StaleTimestamp, KeyMismatch)):
+        held = (child.auth_key, child.confirming, child.ca_session)
+        with pytest.raises(NoPendingChallenge):
             child.auth_finish(old_resp)
+        assert (child.auth_key, child.confirming, child.ca_session) == held
 
 
 class TestPeerExchange:
@@ -272,7 +293,7 @@ class TestPeerExchange:
         net.run()
         assert net.now >= start + 500
         assert lock.established == [b"cam-01", b"cam-01"]
-        assert "AuthFailure" in [v.kind for v in cam.verdicts]
+        assert "AuthFailure" in cam.verdicts
         assert lock.state.peer_sessions[b"cam-01"] == \
             cam.state.peer_sessions[b"lock-02"]
 

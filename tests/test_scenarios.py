@@ -130,7 +130,7 @@ class TestHostActions:
         host = rig.children[b"cam-01"]
         rig.net.call_at(1, lambda n: host.start_peer(n, b"lock-02"))
         rig.net.run()
-        assert [v.kind for v in host.verdicts] == ["NoCaSession"]
+        assert host.verdicts == ["NoCaSession"]
         assert rig.net.accounting["sent"] == 0
 
     @pytest.mark.parametrize("skew_ms", [-10_000, 2**64])
@@ -143,8 +143,7 @@ class TestHostActions:
         host.state.clock = SimClock(rig.net, skew_ms=skew_ms)
         rig.net.call_at(rig.net.now + 1, host.start_auth)
         rig.net.run()
-        assert [v.kind for v in host.verdicts] == ["key-agreement",
-                                                   "TimestampOutOfRange"]
+        assert host.verdicts == ["key-agreement", "TimestampOutOfRange"]
         assert rig.net.accounting["sent"] == sent
         assert len(host.transactions) == 2 and host.registered
 
@@ -155,7 +154,7 @@ class TestHostActions:
         rig.net.run()
         with pytest.raises(ValueError):
             host.start_peer(rig.net, b"\xff\xfe")
-        assert [v.kind for v in host.verdicts] == ["key-agreement"]
+        assert host.verdicts == ["key-agreement"]
 
 
 class TestHostsOverNetwork:
@@ -181,7 +180,7 @@ class TestHostsOverNetwork:
         confirmed = host.state.ca_session
         host.start_auth(rig.net)
         rig.net.run()
-        assert [v.kind for v in host.verdicts] == ["key-agreement"] * 2
+        assert host.verdicts == ["key-agreement"] * 2
         assert host.state.ca_session != confirmed
         assert host.state.ca_session == \
             rig.authority_host.state.sessions[b"cam-01"]
@@ -201,7 +200,7 @@ class TestHostsOverNetwork:
         rig.net.run()
         rig.children[b"cam-01"].start_peer(rig.net, b"lock-02")
         rig.net.run()
-        verdicts = [v.kind for v in rig.children[b"lock-02"].verdicts]
+        verdicts = rig.children[b"lock-02"].verdicts
         assert "peer-established" in verdicts
         assert "NoPendingChallenge" in verdicts
 
@@ -231,8 +230,7 @@ class TestHostsOverNetwork:
         rig, host = self.register_under(params, "inject", Rule(
             lambda e, m: isinstance(m, wire.RegistrationResponse),
             Inject(forged)))
-        assert [v.kind for v in host.verdicts] == ["NoPendingChallenge",
-                                                   "key-agreement"]
+        assert host.verdicts == ["NoPendingChallenge", "key-agreement"]
         assert host.registered and host.state.auth_key is not None
         assert host.state.ca_session[1] == \
             rig.authority_host.state.sessions[b"cam-01"][1]
@@ -248,8 +246,7 @@ class TestHostsOverNetwork:
         params = curve.load_preset(preset)
         rig, host = self.register_under(params, "duplicate", Rule(
             lambda e, m: isinstance(m, wire.AuthResponse), Duplicate(5)))
-        assert [v.kind for v in host.verdicts] == ["key-agreement",
-                                                   "NoPendingChallenge"]
+        assert host.verdicts == ["key-agreement", "NoPendingChallenge"]
         assert host.registered and host.state.auth_key is not None
 
     @pytest.mark.parametrize("preset", ["toy17", "prod256"])
@@ -275,8 +272,7 @@ class TestHostsOverNetwork:
                                   wire.RegistrationResponse)]
         rig.net.send("gw", "cam-01", issued)
         rig.net.run()
-        assert [v.kind for v in host.verdicts] == ["key-agreement",
-                                                   "KeyMismatch"]
+        assert host.verdicts == ["key-agreement", "KeyMismatch"]
         assert not host.state.confirming and not host.registered
         assert host.state.auth_key is None and host.state.ca_session is None
 
@@ -329,9 +325,7 @@ class TestHostsOverNetwork:
         stray = self.stray_messages(rig.announcement.params)[index]
         rig.net.send("gw", "cam-01", wire.encode(stray, state.params))
         rig.net.run()
-        assert [(v.kind, v.detail) for v in host.verdicts] == [
-            ("key-agreement", "OK"),
-            ("UnexpectedMessage", type(stray).__name__)]
+        assert host.verdicts == ["key-agreement", "UnexpectedMessage"]
         assert held == (state.auth_key, state.ca_session,
                         state.peer_sessions, state.pending_challenges,
                         state.proposed)
@@ -370,7 +364,7 @@ class TestClockSkew:
         rig.net.call_at(start_ms, host.start_registration)
         rig.net.run()
         return (list(rig.authority_host.refusals.elements()),
-                [v.kind for v in host.verdicts], host)
+                host.verdicts, host)
 
     @pytest.mark.parametrize("skew_ms", range(-5, 6))
     def test_skew_within_the_one_way_delay_registers(self, skew_ms):
