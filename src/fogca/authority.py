@@ -102,6 +102,8 @@ class AuthorityState:
         self._replay_order: deque[tuple[bytes, int]] = deque()
         self.sessions: dict[bytes, tuple[int, bytes]] = {}
         self.crl: dict[bytes, CrlEntry] = {}  # latest revocation per id
+        # the last load_records' time: no T1 at or before it is fresh
+        self.loaded_at: int | float = float("-inf")
 
     # ---- announcement -----------------------------------------------------
 
@@ -170,11 +172,14 @@ class AuthorityState:
         The (identity, timestamp) pair is cached only once the proof
         verifies, so an identical request inside the freshness window is
         refused as a replay, while a forged request at a victim's
-        timestamp cannot pre-empt the victim's own request.
+        timestamp cannot pre-empt the victim's own request.  A restart
+        loses that cache, so a T1 at or before the last `load_records`
+        is refused as stale.
         """
         now = self.clock.now()
         record = self._refuse_if_unusable(req.child_id, now)
-        if not check_freshness(req.sent_at, now, self.freshness_window_ms):
+        if (req.sent_at <= self.loaded_at or not check_freshness(
+                req.sent_at, now, self.freshness_window_ms)):
             raise StaleTimestamp(f"T1={req.sent_at} vs now={now}")
         cache_key = (req.child_id, req.sent_at)
         if cache_key in self.replay_cache:
@@ -297,7 +302,14 @@ class AuthorityState:
         """Restore registry and CRL from `dump_records` output.  A bad
         line, an identity on a second line, or a first record line that
         is not a `CA` line naming this authority raises MalformedRecord
-        and leaves the state as it was."""
+        and leaves the state as it was.
+
+        The replay cache is not persisted, so a load records the time,
+        and `handle_auth_request` then refuses every T1 at or before it:
+        a request kept from before the restart cannot be replayed into
+        the empty cache.  A handshake in flight at the restart is thus
+        refused once, and its retries, which repeat its T1, are refused
+        too; the device's next handshake has a fresh T1."""
         registry: dict[bytes, RegistrationRecord] = {}
         crl: dict[bytes, CrlEntry] = {}
         own_key = curve.encode_point(self.params, self.public_key)
@@ -339,6 +351,7 @@ class AuthorityState:
 
         parse_records(lines, parse)
         self.registry, self.crl = registry, crl
+        self.loaded_at = self.clock.now()
 
     def save_records(self, path) -> None:
         write_records(path, self.dump_records())

@@ -149,36 +149,46 @@ class ChildState:
         """Check the authority's response to the handshake whose T1 it
         echoes, with the key that masked that request, and derive the
         session key; accepted only if the key-confirmation point
-        verifies.  The handshake is spent whatever the outcome, and a
-        success confirms that key only while it is still installed."""
+        verifies.  A response that echoes no open T1 raises
+        NoPendingChallenge and changes nothing.  Otherwise the handshake
+        is spent whatever the outcome, and, while the key that masked it
+        is still installed, decides that key: a success confirms it and
+        a refusal drops it through `handshake_failed`."""
         pending = self._pending_auth.pop(resp.request_sent_at, None)
         if pending is None:
             raise NoPendingChallenge(
                 f"no handshake open at T1={resp.request_sent_at}")
         random_point, auth_key = pending
+        decides = auth_key == self.auth_key
         params = self.params
         now = self.clock.now()
-        if not check_freshness(resp.sent_at, now, self.freshness_window_ms):
-            raise StaleTimestamp(f"T2={resp.sent_at} vs now={now}")
-        t2 = curve.hash_to_scalar(params, curve.H2_TAG,
-                                  [timestamp_bytes(resp.sent_at)])
-        server_point = curve.point_sub(
-            params, resp.blinded,
-            curve.scalar_mul(params, t2, auth_key))
-        if server_point.is_infinity:
-            raise KeyMismatch("recovered server point is infinity")
-        w = params.field_width
-        k_scalar, key = derive_session_key(
-            params,
-            self._identity_point().x.to_bytes(w, "big"),
-            random_point.x.to_bytes(w, "big"),
-            server_point.x.to_bytes(w, "big"))
-        check = curve.scalar_mul(params, k_scalar + server_point.x,
-                                 params.base_point)
-        if check != resp.key_check:
-            raise KeyMismatch("key-confirmation point does not verify")
+        try:
+            if not check_freshness(resp.sent_at, now,
+                                   self.freshness_window_ms):
+                raise StaleTimestamp(f"T2={resp.sent_at} vs now={now}")
+            t2 = curve.hash_to_scalar(params, curve.H2_TAG,
+                                      [timestamp_bytes(resp.sent_at)])
+            server_point = curve.point_sub(
+                params, resp.blinded,
+                curve.scalar_mul(params, t2, auth_key))
+            if server_point.is_infinity:
+                raise KeyMismatch("recovered server point is infinity")
+            w = params.field_width
+            k_scalar, key = derive_session_key(
+                params,
+                self._identity_point().x.to_bytes(w, "big"),
+                random_point.x.to_bytes(w, "big"),
+                server_point.x.to_bytes(w, "big"))
+            check = curve.scalar_mul(params, k_scalar + server_point.x,
+                                     params.base_point)
+            if check != resp.key_check:
+                raise KeyMismatch("key-confirmation point does not verify")
+        except FogcaError:
+            if decides:
+                self.handshake_failed()
+            raise
         self.ca_session = (k_scalar, key)
-        if auth_key == self.auth_key:
+        if decides:
             self.confirming = False
         return key
 

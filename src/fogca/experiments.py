@@ -3,12 +3,12 @@
 Five traffic splits, named by the keys of SETTING_FRACTIONS, route each
 transaction to a fog-hosted CA instance or to the remote cloud instance.
 Both instances are the same logical CA (shared registry, session table
-and decoded requests); each is a `hosts.AuthorityHost`, a FIFO queue
-with a deterministic service time that counts its refusals by kind,
-and the links and the cloud's capacity share come from the
-frozen calibration in LINK_PROFILES.  Each device is a
-`hosts.ChildHost` that runs the real registration and
-mutual-authentication exchanges over the simulated network,
+and replay cache); each is a `hosts.AuthorityHost`, a FIFO queue with a
+deterministic service time that counts its refusals by kind and keeps
+its own memo of decoded requests, and the links and the cloud's
+capacity share come from the frozen calibration in LINK_PROFILES.
+Each device is a `hosts.ChildHost` that runs the real registration
+and mutual-authentication exchanges over the simulated network,
 retransmits when a response is late (the duplicate is refused by the
 replay cache but still consumes server capacity, which is the
 congestion-inflation effect), and every delay statistic comes out of
@@ -197,13 +197,11 @@ def run_experiment(setting: str, workload: WorkloadSpec,
                          workload.retransmit_timeout_ms)
                for node_id in node_ids]
 
-    decoded = {}  # one logical CA: both instances share decoded requests
     cloud_capacity = workload.server_capacity * profile.cloud_capacity_scale
     fog = AuthorityHost("fog-ca", fleet.authority, fleet.profiles,
-                        max(1, round(1000 / workload.server_capacity)),
-                        decoded)
+                        max(1, round(1000 / workload.server_capacity)))
     cloud = AuthorityHost("cloud-ca", fleet.authority, fleet.profiles,
-                          max(1, round(1000 / cloud_capacity)), decoded)
+                          max(1, round(1000 / cloud_capacity)))
     fog.attach(net)
     cloud.attach(net)
 
@@ -293,8 +291,3 @@ def export_csv(rows, path) -> None:
                     f"{txn.p95_ms:.3f}", f"{txn.max_ms:.3f}",
                     stats.retransmission_count, stats.cloud_tasks,
                     stats.fog_tasks])
-
-
-def read_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

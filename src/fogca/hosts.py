@@ -2,19 +2,20 @@
 
 A host owns a protocol state (authority or child) and reacts to each
 delivered payload: decode, run the matching operation, send the reply.
-`answer` is the one authority dispatcher and `respond` the one child
-dispatcher; both take a decoded message, so bytes served again are
-decoded once.  Refusals never cross the wire: a child host records
-each as a verdict, in order, and an authority host counts them by kind,
-so refused traffic costs it one count per kind, not an object per
-request.  The attack scenarios assert on both.  A device has one
-`ChildState`, which pairs each AuthResponse with its open handshake by
-the echoed T1, so several handshakes can be in flight on it; whether an
-issued key awaits its confirmation is that state's own
-`ChildState.confirming`.  `ChildHost` drives every device, and each
-confirms its issued key with one handshake; `AuthorityHost` drives every
-CA instance.  Both serve the attack gallery and the placement study
-alike.
+`answer` is the one authority dispatcher, and it takes a decoded
+message, so an authority host decodes bytes served again once;
+`ChildHost.handle` is the one child dispatcher.  Refusals never cross
+the wire: a child host records each as a verdict, in order, and an
+authority host counts them by kind, so refused traffic costs it one
+count per kind, not an object per request.  The attack scenarios
+assert on both.  A device has one `ChildState`, which pairs each
+AuthResponse with its open handshake by the echoed T1, so several
+handshakes can be in flight on it, and whose `ChildState.auth_finish`
+alone decides an issued key; whether that key awaits its confirmation
+is the state's own `ChildState.confirming`.  `ChildHost` drives every
+device, and each confirms its issued key with one handshake;
+`AuthorityHost` drives every CA instance.  Both serve the attack
+gallery and the placement study alike.
 
 Child node ids equal their protocol identity (UTF-8), so the authority
 can route peer relays.
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 from . import wire
 from .authority import AuthorityState
 from .child import ChildState
-from .errors import (FogcaError, NoPendingChallenge, UnexpectedMessage,
-                     UnknownDevice)
+from .errors import FogcaError, UnexpectedMessage, UnknownDevice
 from .simnet import Network, SimEvent
 
 
@@ -53,50 +53,24 @@ def answer(state: AuthorityState, profiles, src: str,
     raise UnexpectedMessage(type(msg).__name__)
 
 
-def respond(state: ChildState, src: str,
-            msg: wire.ProtocolMessage) -> tuple[str, bytes] | None:
-    """Run the child operation for a decoded message from `src`: return
-    (destination node, encoded reply) or None, or raise FogcaError."""
-    if isinstance(msg, wire.RegistrationResponse):
-        state.install_auth_key(msg)
-    elif isinstance(msg, wire.AuthResponse):
-        try:
-            state.auth_finish(msg)
-        except FogcaError:
-            state.handshake_failed()
-            raise
-    elif isinstance(msg, wire.PeerRelay):
-        initiator, challenge = state.peer_respond(msg)
-        return initiator.decode(), wire.encode(challenge, state.params)
-    elif isinstance(msg, wire.PeerChallenge):
-        peer_id, proof = state.peer_accept(msg)
-        return peer_id.decode(), wire.encode(proof, state.params)
-    elif isinstance(msg, wire.PeerProof):
-        state.peer_verify(msg, src.encode())
-    else:
-        raise UnexpectedMessage(type(msg).__name__)
-    return None
-
-
 class AuthorityHost:
     """Drives an AuthorityState on one network node as a FIFO single
     server: a request waits for those before it, then `service_ms`, and
     one that no service time delays is answered at its delivery.  Only
     the head of `waiting` has a timer, under the insertion number its
     request took on arrival, so each runs where a timer set on arrival
-    would have.  `decoded` (payload -> message) may be shared by the
-    hosts of one CA: a request served again is decoded once.  Refusals
-    are counted by kind in `refusals`, in the order each kind first came."""
+    would have.  `decoded` (payload -> message) is this host's memo: a
+    request it serves again is decoded once.  Refusals are counted by
+    kind in `refusals`, in the order each kind first came."""
 
     def __init__(self, node_id: str, state: AuthorityState, reported_profiles,
-                 service_ms: int = 0,
-                 decoded: dict[bytes, wire.ProtocolMessage] | None = None):
+                 service_ms: int = 0):
         self.node_id = node_id
         self.state = state
         # device reports arrive out of band with the registration request
         self.reported_profiles = reported_profiles
         self.service_ms = service_ms
-        self.decoded = {} if decoded is None else decoded
+        self.decoded: dict[bytes, wire.ProtocolMessage] = {}
         self.busy_until = 0
         self.tasks = 0
         self.waiting: deque[tuple[int, int, str, bytes]] = deque()
@@ -153,16 +127,17 @@ class ChildHost:
     Transaction, sent again, to a server `pick_server` picks afresh,
     every `retransmit_timeout_ms` while retries remain.  An open
     handshake waits under its T1, which its AuthResponse echoes; a
-    response that echoes no open T1 is refused and touches no state.
-    A refused response spends its handshake, which is not sent again,
-    but leaves the registration waiting.  Every message runs on the
-    device's one state.  The first handshake that settles with the
-    installed, unconfirmed key decides it: a success confirms the key
-    and a failure drops it, as does the first action or delivery after
-    the freshness window of the round sent when it was installed.  A
-    handshake started without a key waits for it, and one started in
-    the ms of the last AuthRequest, whose T1 it would repeat, runs 1 ms
-    later.  `verdicts` records the kind of each outcome, in order."""
+    response that echoes no handshake the state holds open is refused
+    and touches no state.  A refused response spends its handshake,
+    which is not sent again, but leaves the registration waiting.
+    Every message runs on the device's one state, whose `auth_finish`
+    decides the installed, unconfirmed key: the first handshake masked
+    with it confirms it or drops it.  The first action or delivery
+    after the freshness window of the round sent when the key was
+    installed drops it too.  A handshake started without a key waits
+    for it, and one started in the ms of the last AuthRequest, whose T1
+    it would repeat, runs 1 ms later.  `verdicts` records the kind of
+    each outcome, in order."""
 
     def __init__(self, node_id: str, state: ChildState, pick_server,
                  max_retries: int = 0, retransmit_timeout_ms: int = 0):
@@ -252,33 +227,39 @@ class ChildHost:
 
     def handle(self, net: Network, event: SimEvent) -> None:
         self._settle(net)
+        state = self.state
         try:
-            msg = wire.decode(event.payload, self.state.params)
-            txn = None
-            if isinstance(msg, wire.AuthResponse):
-                # refused here, before respond's failure path could drop
-                # an unconfirmed key; a handshake answers once, whatever
-                # the verdict
-                txn = self.handshakes.pop(msg.request_sent_at, None)
-                if txn is None:
-                    raise NoPendingChallenge(
-                        f"no handshake sent at T1={msg.request_sent_at}")
-                txn.settled = True
-            elif isinstance(msg, wire.RegistrationResponse):
-                txn = self.registering
-            reply = respond(self.state, event.src, msg)
-            if txn is not None:
-                txn.completed_at, txn.settled = net.now, True
-            if reply is not None:
-                net.send(self.node_id, *reply)
-            elif isinstance(msg, wire.RegistrationResponse):
-                self.registering = None
+            msg = wire.decode(event.payload, state.params)
+            if isinstance(msg, wire.RegistrationResponse):
+                state.install_auth_key(msg)
+                txn, self.registering = self.registering, None
+                if txn is not None:
+                    txn.completed_at, txn.settled = net.now, True
                 self._key_installed(net)
             elif isinstance(msg, wire.AuthResponse):
+                # a handshake answers once, whatever the verdict
+                txn = self.handshakes.pop(msg.request_sent_at, None)
+                if txn is not None:
+                    txn.settled = True
+                state.auth_finish(msg)
+                if txn is not None:
+                    txn.completed_at = net.now
                 self.verdicts.append("key-agreement")
-            else:  # a PeerProof, the last message respond accepts silently
-                self.established.append(event.src.encode())
+            elif isinstance(msg, wire.PeerRelay):
+                initiator, challenge = state.peer_respond(msg)
+                net.send(self.node_id, initiator.decode(),
+                         wire.encode(challenge, state.params))
+            elif isinstance(msg, wire.PeerChallenge):
+                peer_id, proof = state.peer_accept(msg)
+                net.send(self.node_id, peer_id.decode(),
+                         wire.encode(proof, state.params))
+            elif isinstance(msg, wire.PeerProof):
+                peer_id = event.src.encode()
+                state.peer_verify(msg, peer_id)
+                self.established.append(peer_id)
                 self.verdicts.append("peer-established")
+            else:
+                raise UnexpectedMessage(type(msg).__name__)
         except FogcaError as exc:
             self.verdicts.append(type(exc).__name__)
 

@@ -499,6 +499,35 @@ class TestStateHygiene:
             reader.authority.load_records(writer.authority.dump_records())
         assert (reader.authority.registry, reader.authority.crl) == held
 
+    @pytest.mark.parametrize("preset", ["toy", "prod"])
+    def test_restarted_authority_refuses_a_kept_request(self, preset,
+                                                        request):
+        # probe 8: a request kept from before a restart is still inside
+        # the window, but the reloaded authority's replay cache is empty
+        params = request.getfixturevalue(preset)
+        rig = Rig(params, seed=3)
+        cam = rig.register(b"cam-01")
+        rig.clock.advance(10)
+        kept = cam.auth_init()
+        cam.auth_finish(rig.authority.handle_auth_request(kept))
+        rig.clock.advance(100)
+        restarted = authority.AuthorityState(
+            params, rig.authority.private_key, random.Random(9), rig.clock,
+            rig.store)
+        restarted.load_records(rig.authority.dump_records())
+        at_load = cam.auth_init()  # in flight at the restart
+        for req in (kept, at_load):
+            with pytest.raises(StaleTimestamp):
+                restarted.handle_auth_request(req)
+        assert restarted.sessions == {} and restarted.replay_cache == set()
+        rig.clock.advance(1)
+        resp = restarted.handle_auth_request(cam.auth_init())
+        session = restarted.sessions[b"cam-01"]
+        assert cam.auth_finish(resp) == session[1]
+        with pytest.raises(StaleTimestamp):
+            restarted.handle_auth_request(kept)
+        assert restarted.sessions == {b"cam-01": session}
+
     def test_dump_holds_no_issued_key(self, prod_rig):
         # on prod256 a key's 65-byte encoding cannot turn up by chance
         children = [prod_rig.register(ident)

@@ -147,6 +147,28 @@ class TestAuthInitiator:
         assert child.auth_finish(resp) == session
         assert child.auth_key == other and child.confirming
 
+    def test_refusal_drops_only_the_key_that_masked_it(self, toy_rig):
+        params = toy_rig.params
+        child = toy_rig.provision(b"cam-01")
+        issued = child.install_auth_key(toy_rig.authority.register_child(
+            child.request_registration(), toy_rig.profiles[b"cam-01"]))
+        toy_rig.clock.advance(5)
+        resp = toy_rig.authority.handle_auth_request(child.auth_init())
+        other = curve.scalar_mul(params, 2, issued)
+        child.install_auth_key(wire.RegistrationResponse(seal(
+            child.channel_key, curve.encode_point(params, other),
+            random.Random(0))))
+        toy_rig.clock.advance(child.freshness_window_ms + 1)
+        with pytest.raises(StaleTimestamp):  # masked with the issued key
+            child.auth_finish(resp)
+        assert child.auth_key == other and child.confirming
+        req = child.auth_init()  # masked with the installed key
+        with pytest.raises(KeyMismatch):
+            child.auth_finish(wire.AuthResponse(
+                params.base_point, params.base_point, req.sent_at,
+                req.sent_at))
+        assert child.auth_key is None and not child.confirming
+
     def test_tampered_key_check_rejected(self, toy_rig):
         child = toy_rig.register(b"cam-01")
         toy_rig.clock.advance(5)

@@ -8,11 +8,11 @@ import weakref
 import pytest
 
 from fogca import curve, hosts, integrity, scenarios, wire
-from fogca.crypto import ManualClock, seal
+from fogca.crypto import DEFAULT_FRESHNESS_WINDOW_MS, ManualClock, seal
 from fogca.integrity import TrustState, perturb_profile
 from fogca.errors import UnexpectedMessage, UnknownDevice
-from fogca.simnet import (AdversaryPolicy, Drop, Duplicate, Inject, Modify,
-                           Rule, SimClock)
+from fogca.simnet import (AdversaryPolicy, Delay, Drop, Duplicate, Inject,
+                           Modify, Rule, SimClock)
 
 
 class TestReplay:
@@ -276,6 +276,35 @@ class TestHostsOverNetwork:
         assert not host.state.confirming and not host.registered
         assert host.state.auth_key is None and host.state.ca_session is None
 
+    def test_late_response_to_an_evicted_handshake_keeps_the_key(self):
+        # the response to the handshake after confirmation is held past
+        # two windows, while the issued key is delivered again: its
+        # round's auth_init evicts that handshake, whose response is then
+        # refused without touching the key being confirmed
+        params = curve.toy17()
+        late = 2 * DEFAULT_FRESHNESS_WINDOW_MS + 20
+        responses = []
+
+        def second_auth_response(event, decoded):
+            if isinstance(decoded, wire.AuthResponse):
+                responses.append(decoded)
+            return len(responses) == 2
+
+        rig, host = self.register_under(params, "delay", Rule(
+            second_auth_response, Delay(late)))
+        [issued] = [e.payload for e in rig.net.transcript()
+                    if isinstance(wire.decode(e.payload, params),
+                                  wire.RegistrationResponse)]
+        t0 = rig.net.now
+        host.start_auth(rig.net)
+        rig.net.send("gw", "cam-01", issued, at=t0 + late)
+        rig.net.run()
+        assert host.verdicts == ["key-agreement", "NoPendingChallenge",
+                                 "key-agreement"]
+        assert host.registered
+        assert host.state.ca_session == \
+            rig.authority_host.state.sessions[b"cam-01"]
+
     def test_integrity_mismatch_over_the_network(self):
         # a tampered report quarantines the device; an honest retry is
         # then refused before its report is checked
@@ -330,14 +359,6 @@ class TestHostsOverNetwork:
                         state.peer_sessions, state.pending_challenges,
                         state.proposed)
         assert host.registered
-
-    @pytest.mark.parametrize("index", range(3))
-    def test_respond_refuses_what_only_the_authority_answers(self, toy_rig,
-                                                             index):
-        child = toy_rig.register(b"cam-01")
-        stray = self.stray_messages(toy_rig.params)[index]
-        with pytest.raises(UnexpectedMessage, match=type(stray).__name__):
-            hosts.respond(child, "gw", stray)
 
     def test_authority_records_registration_without_report(self):
         rig = scenarios.build_rig(7, curve.toy17(), [b"cam-01"])
